@@ -20,6 +20,7 @@ from .oracle import OpLog, UnsortedInput, Violation, check_fifo, oracle_aggregat
 from .pipeline import PipelineConfig, RunMetrics, SourceDone, run_pipeline
 from .queues import (
     EMPTY,
+    Aborted,
     ConsumerEndpoint,
     EndpointStats,
     InvalidConfig,
@@ -31,6 +32,7 @@ from .queues import (
 )
 
 __all__ = [
+    "Aborted",
     "AlreadyInactive",
     "BoundsExceeded",
     "ConsumerEndpoint",

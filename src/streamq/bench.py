@@ -10,8 +10,8 @@ configuration runs ``reps`` times and a mean row is appended per
 configuration.
 
 Energy measurement is delegated to an external command (invoked with
-``start`` before the timed region and ``stop`` after it; the stop
-output must contain one decimal joules number), so reports stay
+``start`` before each run, set-up included, and ``stop`` after it; the
+stop output must contain one decimal joules number), so reports stay
 hardware-agnostic.
 """
 
@@ -243,7 +243,7 @@ def split_workload(
 class EnergyProbe:
     """Wraps an external measurement command.
 
-    ``cmd start`` is invoked before the timed region and ``cmd stop``
+    ``cmd start`` is invoked before the measured run and ``cmd stop``
     after it; the first decimal number on the stop output is taken as
     joules for the region.
     """
@@ -292,16 +292,14 @@ def fifo_stress_run(
     qconfig = config or QueueConfig(capacity=capacity)
     producer, consumer = new_queue(kind, qconfig)
     dequeued = array("q")
-    sleep = time.sleep
 
+    # Both loops try inline and fall back to the spin wrappers only on a
+    # miss, so the wait policy costs nothing on the success path.
     def produce():
         enq = producer.try_enqueue
-        seq = 0
-        while seq < count:
-            if enq(seq):
-                seq += 1
-            else:
-                sleep(0)
+        for seq in range(count):
+            if not enq(seq):
+                producer.enqueue_spin(seq)
         producer.producer_finish()
 
     def consume():
@@ -309,12 +307,11 @@ def fifo_stress_run(
         got = dequeued.append
         while True:
             item = deq()
-            if item is not EMPTY:
-                got(item)
-            elif consumer.finished():
-                return
-            else:
-                sleep(0)
+            if item is EMPTY:
+                item = consumer.dequeue_spin()
+                if item is EMPTY:
+                    return
+            got(item)
 
     tp = threading.Thread(target=produce, name="stress-producer")
     tc = threading.Thread(target=consume, name="stress-consumer")
@@ -374,9 +371,8 @@ def _run_micro_once(
     count: int,
     prefill: int,
     mcr_batch: int,
-    probe: Optional[EnergyProbe],
-) -> Tuple[float, Optional[float]]:
-    """One timed producer/consumer run; returns (elapsed_s, joules)."""
+) -> float:
+    """One timed producer/consumer run; returns elapsed seconds."""
     qconfig = QueueConfig(capacity=capacity, mcr_batch_size=mcr_batch)
     producer, consumer = new_queue(kind, qconfig)
     # Padding is allocated per element inside the timed loop; carrying
@@ -390,19 +386,16 @@ def _run_micro_once(
             )
 
     total = prefill + count
-    sleep = time.sleep
     start = threading.Event()
     consumer_error: List[str] = []
 
     def produce():
         start.wait()
         enq = producer.try_enqueue
-        seq = prefill
-        while seq < total:
-            if enq((seq, bytes(pad_len))):
-                seq += 1
-            else:
-                sleep(0)
+        for seq in range(prefill, total):
+            item = (seq, bytes(pad_len))
+            if not enq(item):
+                producer.enqueue_spin(item)
         producer.producer_finish()
 
     def consume():
@@ -411,43 +404,63 @@ def _run_micro_once(
         expected = 0
         while True:
             item = deq()
-            if item is not EMPTY:
-                if item[0] != expected:  # inline FIFO verification
-                    consumer_error.append(
-                        f"sequence break: expected {expected}, got {item[0]}"
-                    )
+            if item is EMPTY:
+                item = consumer.dequeue_spin()
+                if item is EMPTY:
+                    if expected != total:
+                        consumer_error.append(
+                            f"drained {expected} of {total} elements"
+                        )
                     return
-                expected += 1
-            elif consumer.finished():
-                if expected != total:
-                    consumer_error.append(
-                        f"drained {expected} of {total} elements"
-                    )
+            if item[0] != expected:  # inline FIFO verification
+                consumer_error.append(
+                    f"sequence break: expected {expected}, got {item[0]}"
+                )
                 return
-            else:
-                sleep(0)
+            expected += 1
 
     tp = threading.Thread(target=produce, name="micro-producer")
     tc = threading.Thread(target=consume, name="micro-consumer")
     tp.start()
     tc.start()
-    probe_started = False
-    try:
-        if probe is not None:
-            probe.start()
-            probe_started = True
-    finally:
-        # Release the workers even if the probe failed so the threads
-        # never outlive this call.
-        t0 = time.perf_counter()
-        start.set()
-        tp.join()
-        tc.join()
-        elapsed = time.perf_counter() - t0
-    joules = probe.stop() if probe_started else None
+    t0 = time.perf_counter()
+    start.set()
+    tp.join()
+    tc.join()
+    elapsed = time.perf_counter() - t0
     if consumer_error:
         raise OracleMismatch(f"micro run failed FIFO check: {consumer_error[0]}")
-    return elapsed, joules
+    return elapsed
+
+
+def _with_energy(config: BenchConfig, fn, *args):
+    """Run ``fn(*args)`` between the energy probe's start and stop and
+    return ``(result, joules)``.
+
+    Without a probe command joules is None. A probe failure raises
+    ProbeFailure under strict_energy; otherwise it is logged, the run's
+    result is kept and joules is None.
+    """
+    if not config.energy_cmd:
+        return fn(*args), None
+    probe = EnergyProbe(config.energy_cmd)
+    try:
+        probe.start()
+    except ProbeFailure as exc:
+        _probe_failed(config, exc)
+        return fn(*args), None
+    result = fn(*args)
+    try:
+        return result, probe.stop()
+    except ProbeFailure as exc:
+        _probe_failed(config, exc)
+        return result, None
+
+
+def _probe_failed(config: BenchConfig, exc: ProbeFailure) -> None:
+    if config.strict_energy:
+        raise exc
+    log.warning("energy probe failed, row kept: %s", exc)
 
 
 def _summarize(rows: List[ReportRow]) -> ReportRow:
@@ -498,21 +511,10 @@ def run_micro(config: BenchConfig) -> List[ReportRow]:
             for element_size in config.element_sizes:
                 rep_rows: List[ReportRow] = []
                 for rep in range(config.warmup + config.reps):
-                    probe = EnergyProbe(config.energy_cmd) if config.energy_cmd else None
-                    joules: Optional[float] = None
-                    try:
-                        elapsed, joules = _run_micro_once(
-                            kind, capacity, element_size, config.tuples,
-                            prefill, config.mcr_batch, probe,
-                        )
-                    except ProbeFailure as exc:
-                        if config.strict_energy:
-                            raise
-                        log.warning("energy probe failed, row kept: %s", exc)
-                        elapsed, joules = _run_micro_once(
-                            kind, capacity, element_size, config.tuples,
-                            prefill, config.mcr_batch, None,
-                        )
+                    elapsed, joules = _with_energy(
+                        config, _run_micro_once, kind, capacity, element_size,
+                        config.tuples, prefill, config.mcr_batch,
+                    )
                     if rep < config.warmup:
                         continue
                     elapsed_ms = elapsed * 1000.0
@@ -572,25 +574,7 @@ def run_pipeline_bench(config: BenchConfig) -> List[ReportRow]:
                     spec=config.window,
                     workloads=workloads,
                 )
-                probe = EnergyProbe(config.energy_cmd) if config.energy_cmd else None
-                joules: Optional[float] = None
-                if probe is not None:
-                    try:
-                        probe.start()
-                    except ProbeFailure as exc:
-                        if config.strict_energy:
-                            raise
-                        log.warning("energy probe failed, row kept: %s", exc)
-                        probe = None
-                totals, metrics = run_pipeline(pconfig)
-                if probe is not None:
-                    try:
-                        joules = probe.stop()
-                    except ProbeFailure as exc:
-                        if config.strict_energy:
-                            raise
-                        log.warning("energy probe failed, row kept: %s", exc)
-                        joules = None
+                (totals, metrics), joules = _with_energy(config, run_pipeline, pconfig)
                 if config.verify:
                     merged = sorted(
                         (t for w in workloads for t in w), key=lambda t: t[0]

@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--energy-cmd", metavar="CMD", default=None,
         help="external probe; run with 'start' before and 'stop' after the "
-        "timed region, joules parsed from the stop output",
+        "measured run, joules parsed from the stop output",
     )
     parser.add_argument("--strict-energy", action="store_true")
     parser.add_argument("--mcr-batch", type=int, default=1)

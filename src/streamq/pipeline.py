@@ -13,6 +13,11 @@ an inactivity marker; the final aggregator polls its queues round-robin,
 skipping empty ones, until every source has gone inactive, at which
 point all pending windows have been released.
 
+Failure: every wait in a run shares one abort event, which is set when
+any stage raises. A stage therefore needs no cleanup on its error path:
+each stage still waiting raises Aborted at its next miss and unwinds,
+and run_pipeline re-raises the first stage's error.
+
 All cross-thread communication goes through the queues; every other
 piece of state is owned by exactly one thread.
 """
@@ -27,11 +32,13 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .aggregation import FinalAggregator, WindowAggregator, WindowPartial, WindowSpec
 from .queues import (
     EMPTY,
+    Aborted,
     ConsumerEndpoint,
     InvalidConfig,
     ProducerEndpoint,
     QueueConfig,
     QueueKind,
+    Waiter,
     new_queue,
 )
 
@@ -108,20 +115,18 @@ def _run_producer(
     workload: List[Tuple[int, int]],
     outputs: List[ProducerEndpoint],
     start: threading.Event,
+    abort: threading.Event,
 ) -> None:
     start.wait()
-    try:
-        n_out = len(outputs)
-        rr = 0
-        for item in workload:
-            outputs[rr].enqueue_spin(item)
-            rr += 1
-            if rr == n_out:
-                rr = 0
-    finally:
-        # Always signal completion so downstream threads can unwind.
-        for out in outputs:
-            out.producer_finish()
+    n_out = len(outputs)
+    rr = 0
+    for item in workload:
+        outputs[rr].enqueue_spin(item, abort=abort)
+        rr += 1
+        if rr == n_out:
+            rr = 0
+    for out in outputs:
+        out.producer_finish()
 
 
 def _run_aggregator(
@@ -130,33 +135,31 @@ def _run_aggregator(
     inp: ConsumerEndpoint,
     out: ProducerEndpoint,
     start: threading.Event,
+    abort: threading.Event,
     counters: Dict[int, int],
 ) -> None:
     start.wait()
     agg = WindowAggregator(spec, source=source)
     send = out.enqueue_spin
     partials_sent = 0
-    try:
-        idle = 0
-        while True:
-            item = inp.try_dequeue()
-            if item is EMPTY:
-                if inp.finished():
-                    break
-                idle += 1
-                time.sleep(0 if idle < 256 else 0.0001)
-                continue
-            idle = 0
-            for partial in agg.update(item[0], item[1]):
-                send(partial)
-                partials_sent += 1
-        for partial in agg.finalize():
-            send(partial)
+    wait = Waiter(abort=abort)
+    while True:
+        item = inp.try_dequeue()
+        if item is EMPTY:
+            if inp.finished():
+                break
+            wait()
+            continue
+        wait.misses = 0
+        for partial in agg.update(item[0], item[1]):
+            send(partial, abort=abort)
             partials_sent += 1
-        send(SourceDone(source))
-    finally:
-        out.producer_finish()
-        counters[source] = partials_sent
+    for partial in agg.finalize():
+        send(partial, abort=abort)
+        partials_sent += 1
+    send(SourceDone(source), abort=abort)
+    out.producer_finish()
+    counters[source] = partials_sent
 
 
 def _run_final(
@@ -164,10 +167,11 @@ def _run_final(
     inputs: List[ConsumerEndpoint],
     results: Dict[int, int],
     start: threading.Event,
+    abort: threading.Event,
 ) -> None:
     start.wait()
     live = list(inputs)
-    idle = 0
+    wait = Waiter(abort=abort)
     while live:
         progressed = False
         finished_queues = []
@@ -187,10 +191,9 @@ def _run_final(
         for q in finished_queues:
             live.remove(q)
         if progressed:
-            idle = 0
+            wait.misses = 0
         else:
-            idle += 1
-            time.sleep(0 if idle < 256 else 0.0001)
+            wait()
     assert fa.all_inactive(), "final aggregator exited with active sources"
     assert not fa.partials, "final aggregator exited with unreleased windows"
 
@@ -199,8 +202,9 @@ def run_pipeline(config: PipelineConfig) -> Tuple[Dict[int, int], RunMetrics]:
     """Run the full pipeline and return the window totals plus metrics.
 
     The clock covers the span from releasing the worker threads to the
-    last join; construction and wiring are excluded. Any exception in a
-    worker thread is re-raised here.
+    last join; construction and wiring are excluded. The first exception
+    in a worker thread aborts every other thread's waits and is
+    re-raised here; windows still in flight are discarded.
     """
     config.validate()
     blocks = partition_aggregators(config.producers, config.aggregators)
@@ -226,6 +230,7 @@ def run_pipeline(config: PipelineConfig) -> Tuple[Dict[int, int], RunMetrics]:
     results: Dict[int, int] = {}
     partial_counts: Dict[int, int] = {}
     start = threading.Event()
+    abort = threading.Event()
     errors: List[BaseException] = []
 
     def guarded(fn, *args):
@@ -234,11 +239,14 @@ def run_pipeline(config: PipelineConfig) -> Tuple[Dict[int, int], RunMetrics]:
                 fn(*args)
             except BaseException as exc:  # surfaced after join
                 errors.append(exc)
+                abort.set()
         return runner
 
     threads = [
         threading.Thread(
-            target=guarded(_run_producer, config.workloads[i], feed_producers[i], start),
+            target=guarded(
+                _run_producer, config.workloads[i], feed_producers[i], start, abort
+            ),
             name=f"producer-{i}",
         )
         for i in range(config.producers)
@@ -247,7 +255,7 @@ def run_pipeline(config: PipelineConfig) -> Tuple[Dict[int, int], RunMetrics]:
         threading.Thread(
             target=guarded(
                 _run_aggregator, j, config.spec, agg_inputs[j], agg_outputs[j],
-                start, partial_counts,
+                start, abort, partial_counts,
             ),
             name=f"aggregator-{j}",
         )
@@ -255,7 +263,7 @@ def run_pipeline(config: PipelineConfig) -> Tuple[Dict[int, int], RunMetrics]:
     ]
     threads.append(
         threading.Thread(
-            target=guarded(_run_final, fa, final_inputs, results, start),
+            target=guarded(_run_final, fa, final_inputs, results, start, abort),
             name="final-aggregator",
         )
     )
@@ -269,10 +277,11 @@ def run_pipeline(config: PipelineConfig) -> Tuple[Dict[int, int], RunMetrics]:
     elapsed = time.perf_counter() - t0
 
     if errors:
-        # Prefer a root-cause error over consistency asserts that fired
-        # downstream of it.
+        # Prefer the root cause over the aborts it triggered and the
+        # consistency asserts that fired downstream of it.
         raise next(
-            (e for e in errors if not isinstance(e, AssertionError)), errors[0]
+            (e for e in errors if not isinstance(e, (AssertionError, Aborted))),
+            errors[0],
         )
 
     metrics = RunMetrics(

@@ -10,14 +10,14 @@ interface:
 * ``BATCHQUEUE`` -- the array is split into two halves that producer and
   consumer exchange wholesale through a single ownership flag.
 * ``MCRINGBUFFER`` -- private working indices republished to the shared
-  control pair only every ``batch_size`` operations, with each variable
-  group padded onto its own cache line.
+  control pair only every ``batch_size`` operations.
 
 ``new_queue`` returns a ``(producer, consumer)`` endpoint pair over one
 shared ring. Each endpoint must be driven by at most one thread at a
 time; the two endpoints may run fully concurrently. The non-blocking
 ``try_enqueue``/``try_dequeue`` are the primitives; ``enqueue_spin`` and
-``dequeue_spin`` wrap them with a yielding retry loop.
+``dequeue_spin`` wrap them in a ``Waiter``, the one wait policy every
+poll loop in the package uses.
 
 Memory ordering: every payload write happens before the single store
 that publishes it (index, cell, or flag), and consumers read that
@@ -29,6 +29,7 @@ placement in this module mirrors what a weak-memory port would fence.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -49,7 +50,12 @@ class InvalidConfig(ValueError):
 
 
 class QueueTimeout(Exception):
-    """Raised by the spin wrappers when their attempt budget runs out."""
+    """Raised by a wait when its attempt budget runs out."""
+
+
+class Aborted(Exception):
+    """Raised by a wait when its abort event is set: another thread of
+    the same run has failed and this one should unwind."""
 
 
 class _Sentinel:
@@ -70,10 +76,41 @@ EMPTY = _Sentinel("EMPTY")
 #: consumers discard it transparently.
 _HEARTBEAT = _Sentinel("HEARTBEAT")
 
-# Spin wrappers yield with sleep(0) this many times before escalating
-# to a short real sleep; keeps many-thread pipelines from thrashing.
-_SPIN_FAST_ATTEMPTS = 64
-_SPIN_SLOW_SECONDS = 0.0001
+# Waiter's policy. Sleeping for real after a run of yields keeps
+# many-thread pipelines from thrashing.
+_YIELD_MISSES = 64
+_SLEEP_SECONDS = 0.0001
+
+
+class Waiter:
+    """The one wait/backoff policy for every poll loop in the package.
+
+    A poll loop calls the waiter after each miss (a full or empty queue,
+    or a sweep that made no progress). The first ``_YIELD_MISSES``
+    consecutive misses yield with ``sleep(0)``; later ones sleep
+    ``_SLEEP_SECONDS``. A loop that makes progress resets ``misses`` to
+    0. ``budget`` bounds the misses (QueueTimeout once reached) and a
+    set ``abort`` event ends the wait (Aborted); both are checked
+    before sleeping.
+    """
+
+    __slots__ = ("misses", "_budget", "_abort")
+
+    def __init__(
+        self, budget: Optional[int] = None, abort: Optional[threading.Event] = None
+    ):
+        self.misses = 0
+        self._budget = budget
+        self._abort = abort
+
+    def __call__(self) -> None:
+        self.misses += 1
+        if self._abort is not None and self._abort.is_set():
+            raise Aborted("wait aborted: another thread of the run failed")
+        if self._budget is not None and self.misses >= self._budget:
+            raise QueueTimeout(f"gave up after {self.misses} attempts")
+        # time.sleep is looked up per call, so a patched one is honoured.
+        time.sleep(0 if self.misses <= _YIELD_MISSES else _SLEEP_SECONDS)
 
 
 @dataclass(frozen=True)
@@ -84,14 +121,11 @@ class QueueConfig:
     requires it to be even (two equal halves). ``mcr_batch_size`` and
     ``mcr_heartbeat_period`` only affect MCRingBuffer; the batch size
     must divide the capacity, which keeps index publication aligned to
-    the ring and simplifies wrap bookkeeping. ``cache_line_bytes``
-    sizes the padding regions that keep control variables in distinct
-    cache-line-sized areas. ``debug`` enables extra ownership
-    assertions on the hot paths.
+    the ring and simplifies wrap bookkeeping. ``debug`` enables extra
+    ownership assertions on the hot paths.
     """
 
     capacity: int
-    cache_line_bytes: int = 64
     mcr_batch_size: int = 1
     mcr_heartbeat_period: Optional[int] = None
     debug: bool = False
@@ -99,8 +133,6 @@ class QueueConfig:
     def validate(self, kind: QueueKind) -> None:
         if self.capacity < 2:
             raise InvalidConfig(f"capacity must be >= 2, got {self.capacity}")
-        if self.cache_line_bytes < 1:
-            raise InvalidConfig("cache_line_bytes must be positive")
         if kind is QueueKind.BATCHQUEUE and self.capacity % 2 != 0:
             raise InvalidConfig(
                 f"BatchQueue capacity must be even, got {self.capacity}"
@@ -138,20 +170,13 @@ class EndpointStats:
     publication_events: int = 0
 
 
-class Padded:
-    """A mutable cell flanked by cache-line-sized padding.
+class _Cell:
+    """A shared control variable that endpoints hold by reference."""
 
-    The pad bytes keep the boxed value in a memory region of its own,
-    mirroring the layout a native port would use to avoid false sharing
-    between control variables.
-    """
+    __slots__ = ("value",)
 
-    __slots__ = ("_pad_before", "value", "_pad_after")
-
-    def __init__(self, value: Any, line_bytes: int = 64):
-        self._pad_before = bytes(line_bytes)
+    def __init__(self, value: Any):
         self.value = value
-        self._pad_after = bytes(line_bytes)
 
 
 class ProducerEndpoint:
@@ -165,25 +190,25 @@ class ProducerEndpoint:
     def producer_finish(self) -> None:
         raise NotImplementedError
 
-    def enqueue_spin(self, item: Any, budget: Optional[int] = None) -> None:
-        """Retry try_enqueue until it succeeds, yielding between attempts.
+    def enqueue_spin(
+        self,
+        item: Any,
+        budget: Optional[int] = None,
+        abort: Optional[threading.Event] = None,
+    ) -> None:
+        """Retry try_enqueue until it succeeds, waiting between attempts.
 
         ``budget`` bounds the number of try_enqueue calls; None spins
-        until success. Raises QueueTimeout when the budget is exhausted.
+        until success. Raises QueueTimeout when the budget is exhausted
+        and Aborted once ``abort`` is set while the queue is full.
         """
-        attempts = 0
+        if self.try_enqueue(item):
+            return
+        wait = Waiter(budget, abort)  # made on the first miss only
         while True:
+            wait()
             if self.try_enqueue(item):
                 return
-            attempts += 1
-            if budget is not None and attempts >= budget:
-                raise QueueTimeout(
-                    f"enqueue_spin gave up after {attempts} attempts"
-                )
-            if attempts < _SPIN_FAST_ATTEMPTS:
-                time.sleep(0)
-            else:
-                time.sleep(_SPIN_SLOW_SECONDS)
 
     def stats(self) -> EndpointStats:
         return EndpointStats(
@@ -207,36 +232,28 @@ class ConsumerEndpoint:
         raise NotImplementedError
 
     def dequeue_spin(self, budget: Optional[int] = None) -> Any:
-        attempts = 0
-        while True:
-            item = self.try_dequeue()
-            if item is not EMPTY:
-                return item
-            attempts += 1
-            if budget is not None and attempts >= budget:
-                raise QueueTimeout(
-                    f"dequeue_spin gave up after {attempts} attempts"
-                )
-            if attempts < _SPIN_FAST_ATTEMPTS:
-                time.sleep(0)
-            else:
-                time.sleep(_SPIN_SLOW_SECONDS)
+        """Retry try_dequeue until it returns an element, waiting between
+        attempts; return EMPTY once the queue is finished().
+
+        ``budget`` bounds the number of try_dequeue calls; None spins
+        until an element or the end. Raises QueueTimeout when the
+        budget is exhausted.
+        """
+        item = self.try_dequeue()
+        if item is EMPTY:
+            wait = Waiter(budget)  # made on the first miss only
+            while item is EMPTY and not self.finished():
+                wait()
+                item = self.try_dequeue()
+        return item
 
     def drain(self) -> list:
         """Dequeue until the producer has finished and the queue is empty.
 
         Only safe to call when the producer is guaranteed to call
-        producer_finish eventually; otherwise this spins forever.
+        producer_finish eventually; otherwise this waits forever.
         """
-        out = []
-        while True:
-            item = self.try_dequeue()
-            if item is not EMPTY:
-                out.append(item)
-                continue
-            if self.finished():
-                return out
-            time.sleep(0)
+        return list(iter(self.dequeue_spin, EMPTY))
 
     def stats(self) -> EndpointStats:
         return EndpointStats(
@@ -254,12 +271,11 @@ class _LamportShared:
     __slots__ = ("ring", "capacity", "head", "tail", "producer_done")
 
     def __init__(self, config: QueueConfig):
-        line = config.cache_line_bytes
         self.ring = [None] * config.capacity
         self.capacity = config.capacity
-        self.head = Padded(0, line)
-        self.tail = Padded(0, line)
-        self.producer_done = Padded(False, line)
+        self.head = _Cell(0)
+        self.tail = _Cell(0)
+        self.producer_done = _Cell(False)
 
 
 class LamportProducer(ProducerEndpoint):
@@ -353,7 +369,7 @@ class _FastForwardShared:
     def __init__(self, config: QueueConfig):
         self.ring = [None] * config.capacity
         self.capacity = config.capacity
-        self.producer_done = Padded(False, config.cache_line_bytes)
+        self.producer_done = _Cell(False)
 
 
 class FastForwardProducer(ProducerEndpoint):
@@ -446,14 +462,13 @@ class _BatchQueueShared:
     )
 
     def __init__(self, config: QueueConfig):
-        line = config.cache_line_bytes
         self.ring = [None] * config.capacity
         self.half = config.capacity // 2
         self.capacity = config.capacity
-        self.is_full = Padded(False, line)
-        self.enq_index = Padded(0, line)  # written only at finish
-        self.leftover_flag = Padded(False, line)
-        self.producer_done = Padded(False, line)
+        self.is_full = _Cell(False)
+        self.enq_index = _Cell(0)  # written only at finish
+        self.leftover_flag = _Cell(False)
+        self.producer_done = _Cell(False)
 
 
 class BatchQueueProducer(ProducerEndpoint):
@@ -594,13 +609,12 @@ class _MCRingShared:
     __slots__ = ("ring", "capacity", "read", "write", "batch_size", "producer_done")
 
     def __init__(self, config: QueueConfig):
-        line = config.cache_line_bytes
         self.ring = [None] * config.capacity
         self.capacity = config.capacity
-        self.read = Padded(0, line)    # published consumer index
-        self.write = Padded(0, line)   # published producer index
+        self.read = _Cell(0)    # published consumer index
+        self.write = _Cell(0)   # published producer index
         self.batch_size = config.mcr_batch_size
-        self.producer_done = Padded(False, line)
+        self.producer_done = _Cell(False)
 
 
 class MCRingProducer(ProducerEndpoint):

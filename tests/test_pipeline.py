@@ -1,12 +1,16 @@
 """End-to-end pipeline runs checked against the sequential oracle."""
 
+import threading
+
 import pytest
 
 from streamq import (
+    FinalAggregator,
     InvalidConfig,
     PipelineConfig,
     QueueConfig,
     QueueKind,
+    WindowAggregator,
     WindowSpec,
     oracle_aggregate,
     run_pipeline,
@@ -14,6 +18,7 @@ from streamq import (
 )
 from streamq.bench import split_workload
 from streamq.pipeline import partition_aggregators
+from streamq.queues import ProducerEndpoint
 
 SPEC = WindowSpec(4, 2)
 
@@ -128,3 +133,59 @@ class TestPartition:
 
     def test_one_producer_takes_all(self):
         assert partition_aggregators(1, 10) == [range(0, 10)]
+
+
+class InjectedFault(Exception):
+    """The error a fault-injection test makes one stage raise."""
+
+
+# Each stage fails at its 100th call of the patched method; the filter
+# picks one thread, so the call counter is never shared.
+FAULTS = {
+    "producer": (
+        ProducerEndpoint, "enqueue_spin",
+        lambda _self: threading.current_thread().name == "producer-0",
+    ),
+    "aggregator": (WindowAggregator, "update", lambda self: self.source == 1),
+    "final": (FinalAggregator, "accept", lambda _self: True),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(FAULTS))
+@pytest.mark.parametrize(
+    "kind,capacity",
+    [
+        (kind, capacity)
+        for kind in QueueKind
+        for capacity in (2, 3, 4)
+        if not (kind is QueueKind.BATCHQUEUE and capacity % 2)
+    ],
+)
+def test_stage_fault_is_raised_not_hung(monkeypatch, stage, kind, capacity):
+    owner, name, chosen = FAULTS[stage]
+    original = getattr(owner, name)
+    calls = [0]
+
+    def faulty(self, *args, **kwargs):
+        if chosen(self):
+            calls[0] += 1
+            if calls[0] == 100:
+                raise InjectedFault(f"{stage} fault")
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, faulty)
+    cfg = config(1, 3, kind, split_workload(3_000, 1, seed=4), capacity=capacity)
+    outcome = []
+
+    def run():
+        try:
+            run_pipeline(cfg)
+        except BaseException as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=10.0)
+    assert not runner.is_alive(), f"{stage} fault left run_pipeline waiting"
+    assert calls[0] >= 100, "the fault was never injected"
+    assert len(outcome) == 1 and type(outcome[0]) is InjectedFault, outcome

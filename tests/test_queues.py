@@ -1,9 +1,16 @@
 """Unit tests for the four queue kinds against hand-traced expectations."""
 
+import ast
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
+import streamq
 from streamq import (
     EMPTY,
+    Aborted,
     EndpointStats,
     InvalidConfig,
     QueueConfig,
@@ -11,6 +18,7 @@ from streamq import (
     QueueTimeout,
     new_queue,
 )
+from streamq.queues import Waiter
 
 ALL_KINDS = list(QueueKind)
 
@@ -219,6 +227,61 @@ class TestSpinWrappers:
         _, consumer = make(QueueKind.FASTFORWARD, 8)
         with pytest.raises(QueueTimeout):
             consumer.dequeue_spin(budget=100)
+
+    def test_dequeue_spin_returns_empty_once_finished(self):
+        producer, consumer = make(QueueKind.FASTFORWARD, 8)
+        producer.try_enqueue(1)
+        producer.producer_finish()
+        assert consumer.dequeue_spin(budget=1) == 1
+        assert consumer.dequeue_spin(budget=1) is EMPTY
+
+    def test_enqueue_spin_aborts_on_full(self):
+        producer, _ = make(QueueKind.LAMPORT, 2)
+        producer.enqueue_spin("a")
+        abort = threading.Event()
+        timer = threading.Timer(0.05, abort.set)
+        timer.start()
+        t0 = time.perf_counter()
+        with pytest.raises(Aborted):
+            producer.enqueue_spin("b", abort=abort)
+        timer.join()
+        assert time.perf_counter() - t0 < 5.0
+
+
+class TestWaitPolicy:
+    def test_yields_then_sleeps_and_resets(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        wait = Waiter()
+        for _ in range(66):
+            wait()
+        wait.misses = 0
+        wait()
+        assert slept == [0] * 64 + [0.0001] * 2 + [0]
+
+    def test_waiter_is_the_only_sleeper(self):
+        # One wait policy: nothing else in the package may sleep, import
+        # a sleep function or keep a reference to one.
+        scopes = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+        def sleepers(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, scopes):
+                    inner = f"{scope}.{child.name}"
+                else:
+                    names = {getattr(child, a, None) for a in ("id", "attr", "name")}
+                    if "sleep" in names:
+                        yield scope
+                yield from sleepers(child, inner)
+
+        package = Path(streamq.__file__).parent
+        found = [
+            where
+            for path in sorted(package.glob("*.py"))
+            for where in sleepers(ast.parse(path.read_text()), path.stem)
+        ]
+        assert found == ["queues.Waiter.__call__"]
 
 
 class TestHeartbeat:
