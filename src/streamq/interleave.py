@@ -1,36 +1,63 @@
-"""Exhaustive interleaving exploration for tiny queue instances.
+"""Exhaustive interleaving exploration of the shipped queue classes.
 
-Each queue algorithm is re-encoded here as a pair of deterministic step
-machines (one per endpoint) whose atomic steps are single shared-memory
-loads or stores, with local computation folded in. Under sequential
-consistency, every possible execution of the two endpoints is some
-interleaving of those atomic steps, so a depth-first search over all
-schedules (with visited-state pruning, which also collapses busy-wait
-cycles) covers every behaviour the algorithm can exhibit on a tiny
-instance.
+``explore`` runs the endpoints that ``new_queue`` returns over every
+schedule of a tiny instance. Each ``_Cell`` and the ring of the shared
+object are swapped for recording stand-ins, and the endpoint slots that
+alias them are rebound, so each load or store of shared state is one
+step. A step resumes an endpoint by restoring its slots from the
+snapshot taken when its current operation began and running the
+operation again: the accesses already recorded are replayed (loads
+return the recorded value, stores are skipped), the next one is made for
+real, and the operation stops just before the access after that, or
+returns. No threads or tracing are involved, and preemption happens at
+every shared access, however many share a source line. The state is the
+shared values plus, per endpoint, its script position, its slots minus
+the operation counters (so a spin retry that changes nothing revisits a
+state) and the values its current operation has recorded.
 
-The producer scripts enqueue the values ``1..n`` in order; the checker
-verifies on the fly that the consumer only ever observes ``1, 2, 3,
-...`` (any reorder, loss, duplication, or read of an unwritten slot
-breaks that), plus per-algorithm structural invariants, and flags
-schedules where neither endpoint can make progress. This module is the
-independent re-encoding of the algorithms: it deliberately does not
-reuse the production classes in ``queues``.
+The producer enqueues ``1..n`` and calls ``producer_finish()``; the
+consumer calls ``try_dequeue()`` and, after each miss, ``finished()``,
+until that returns True. Each schedule is checked for FIFO (the consumer
+sees ``1, 2, ...`` and nothing else), conservation (it has all ``n``
+when ``finished()`` holds), progress (every reachable state can still
+complete both scripts), exceptions from the queue code (BatchQueue's
+``debug`` half-ownership assertion is on) and, between operations,
+Lamport occupancy and MCRingBuffer publication lag read from the slots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+import linecache
+import os
+import sys
+from dataclasses import dataclass, replace
+from typing import Any, List, Optional, Tuple, Type
 
-from .queues import InvalidConfig, QueueKind
+from .queues import (
+    EMPTY,
+    ConsumerEndpoint,
+    LamportProducer,
+    ProducerEndpoint,
+    QueueConfig,
+    QueueKind,
+    _Cell,
+    new_queue,
+)
 
 MAX_CAPACITY = 4
 MAX_OPS = 6
 
-#: Initial content of ring cells the producer has not written yet.
-#: Real payloads are 1-based, so observing 0 means reading garbage.
-GARBAGE = 0
+#: Endpoint slots that only count operations (``EndpointStats``).
+_COUNTERS = frozenset(
+    ("_enq_attempts", "_enq_successes", "_deq_attempts", "_deq_successes", "_publications")
+)
+
+# Positions in a search state, and the consumer's script phases.
+_PRODUCER, _CONSUMER = 1, 2
+_DEQUEUE, _FINISHED, _DONE = 0, 1, 2
+
+#: ``_System.access``'s ``store`` argument for a load.
+_LOAD = object()
 
 
 class BoundsExceeded(ValueError):
@@ -39,7 +66,7 @@ class BoundsExceeded(ValueError):
 
 @dataclass(frozen=True)
 class CounterexampleTrace:
-    """A schedule that violated an invariant, one label per atomic step."""
+    """A schedule that violated an invariant, one label per step."""
 
     reason: str
     steps: Tuple[str, ...]
@@ -49,317 +76,289 @@ class CounterexampleTrace:
         return "\n".join(lines)
 
 
-def _set(ring: tuple, i: int, v) -> tuple:
-    return ring[:i] + (v,) + ring[i + 1:]
+class _Preempt(BaseException):
+    """Ends a step at its second new shared access; a BaseException so
+    that no handler in the queue code catches it."""
 
 
-# Machine state conventions: producer and consumer states are tuples
-# whose first element is a program counter; shared state is a per-kind
-# tuple ending in the ring. step_* return (new_agent, new_shared, label)
-# and consumer steps additionally return the values recorded by that
-# step. A step that re-checks a condition and sees no change returns an
-# identical state, which the driver treats as a busy-wait self-loop.
+class _Shared:
+    """Stand-in for a shared ``_Cell`` (used through ``value``) or list
+    (used by index or slice): each element loaded or stored is a step.
+    A list's contents are kept as a tuple, so saving a state copies
+    nothing."""
+
+    __slots__ = ("v", "name", "system")
+
+    def __init__(self, system: "_System", name: str, raw: Any):
+        self.v = raw.value if isinstance(raw, _Cell) else tuple(raw)
+        self.name, self.system = name, system
+
+    @property
+    def value(self) -> Any:
+        return self.system.access(self, None, _LOAD)
+
+    @value.setter
+    def value(self, v: Any) -> None:
+        self.system.access(self, None, v)
+
+    def __getitem__(self, i: Any) -> Any:
+        if isinstance(i, slice):
+            out = []
+            for j in range(*i.indices(len(self.v))):
+                out.append(self.system.access(self, j, _LOAD))
+            return out
+        return self.system.access(self, i, _LOAD)
+
+    def __setitem__(self, i: int, x: Any) -> None:
+        self.system.access(self, i, x)
 
 
-class _LamportMachine:
-    """Two shared indices; every operation republishes its index."""
+def _slots(obj: Any) -> List[str]:
+    return [n for cls in type(obj).__mro__ for n in cls.__dict__.get("__slots__", ())]
 
-    def __init__(self, capacity: int, enqueues: int, mutated: bool = False):
-        self.cap = capacity
-        self.m = enqueues
-        self.mutated = mutated
-        self.p0 = (0, 0, 0)             # pc, ops_done, tail
-        self.c0 = (0, 0, 0, GARBAGE)    # pc, ops_done, head, data
-        self.shared0 = (0, 0, (GARBAGE,) * capacity)  # head, tail, ring
 
-    def p_done(self, p) -> bool:
-        return p[1] >= self.m and p[0] == 0
+class _System:
+    """A queue's two endpoints with their shared state behind stand-ins."""
 
-    def c_done(self, c, k: int) -> bool:
-        return c[1] >= k
+    def __init__(self, kind: QueueKind, producer: ProducerEndpoint, consumer: ConsumerEndpoint):
+        self.kind, self.shared = kind, producer._shared
+        self.endpoints = (None, producer, consumer)  # indexed by _PRODUCER, _CONSUMER
+        swapped = []
+        for name in _slots(self.shared):
+            raw = getattr(self.shared, name)
+            if isinstance(raw, (_Cell, list)):
+                stand_in = _Shared(self, name, raw)
+                setattr(self.shared, name, stand_in)
+                swapped.append((raw, stand_in))
+        for endpoint in (producer, consumer):
+            for name in _slots(endpoint):
+                for raw, stand_in in swapped:
+                    if getattr(endpoint, name) is raw:
+                        setattr(endpoint, name, stand_in)
+        self.stand_ins = [s for _, s in swapped]
+        self.names = [None] + [
+            tuple(n for n in _slots(e) if n not in _COUNTERS
+                  and not isinstance(getattr(e, n), (_Shared, type(self.shared))))
+            for e in (producer, consumer)
+        ]
+        self.lists = {n for e in (producer, consumer) for n in _slots(e)
+                      if type(getattr(e, n)) is list}
+        self.log, self.pos, self.new = (), 0, None
 
-    def consumed(self, c) -> int:
-        return c[1]
+    def access(self, target: _Shared, index: Optional[int], store: Any) -> Any:
+        """Replay the current operation's recorded accesses; make one new one."""
+        i = self.pos
+        self.pos = i + 1
+        if i < len(self.log):
+            return self.log[i]
+        if self.new is not None:
+            raise _Preempt
+        if store is _LOAD:
+            value = target.v if index is None else target.v[index]
+        elif index is None:
+            target.v = value = store
+        else:
+            target.v = target.v[:index] + (store,) + target.v[index + 1:]
+            value = store
+        frame = sys._getframe(2)  # the queue code that made the access
+        where = target.name if index is None else f"{target.name}[{index}]"
+        self.new = (store is _LOAD, where, value, frame.f_code.co_filename, frame.f_lineno)
+        return value
 
-    def step_p(self, p, shared):
-        pc, ops, tail = p
-        head, s_tail, ring = shared
-        after = (tail + 1) % self.cap
-        if pc == 0:  # load head, full check
-            if after == head:
-                return p, shared, "load head (full, retry)"
-            return (1, ops, tail), shared, f"load head -> {head}"
-        value = ops + 1
-        if not self.mutated:
-            if pc == 1:  # commit payload
-                return (2, ops, tail), (head, s_tail, _set(ring, tail, value)), \
-                    f"store ring[{tail}]={value}"
-            # pc == 2: publish tail
-            return (0, ops + 1, after), (head, after, ring), f"store tail={after}"
-        if pc == 1:  # mutation: index published before the payload lands
-            return (2, ops, tail), (head, after, ring), f"store tail={after} (early)"
-        return (0, ops + 1, after), (head, s_tail, _set(ring, tail, value)), \
-            f"store ring[{tail}]={value} (late)"
+    def save(self, who: int) -> tuple:
+        endpoint = self.endpoints[who]
+        values = (getattr(endpoint, n) for n in self.names[who])
+        return tuple(tuple(v) if type(v) is list else v for v in values)
 
-    def step_c(self, c, shared):
-        pc, ops, head, data = c
-        s_head, tail, ring = shared
-        if pc == 0:  # load tail, empty check
-            if head == tail:
-                return c, shared, "load tail (empty, retry)", ()
-            return (1, ops, head, data), shared, f"load tail -> {tail}", ()
-        if pc == 1:  # read payload
-            return (2, ops, head, ring[head]), shared, f"load ring[{head}]", ()
-        after = (head + 1) % self.cap
-        return (0, ops + 1, after, GARBAGE), (after, tail, ring), \
-            f"store head={after}", (data,)
+    def load(self, shared: tuple, who: int, slots: tuple) -> None:
+        for stand_in, v in zip(self.stand_ins, shared):
+            stand_in.v = v
+        for n, v in zip(self.names[who], slots):
+            setattr(self.endpoints[who], n, list(v) if n in self.lists else v)
 
-    def check(self, p, c, shared) -> Optional[str]:
-        if p[0] == 0 and c[0] == 0:  # quiescent occupancy accounting
-            head, tail, _ = shared
-            occupancy = (tail - head) % self.cap
-            if occupancy != p[1] - c[1]:
-                return (
-                    f"occupancy {occupancy} != committed {p[1]} - consumed {c[1]}"
-                )
-            if occupancy > self.cap - 1:
-                return f"occupancy {occupancy} exceeds capacity-1"
+    def initial(self) -> tuple:
+        return (tuple(s.v for s in self.stand_ins), (0, self.save(_PRODUCER), ()),
+                ((_DEQUEUE, 0), self.save(_CONSUMER), ()))
+
+    def step(self, state: tuple, who: int, n: int):
+        """Run endpoint ``who`` for one step; return (state, label, error)."""
+        script, slots, log = state[who]
+        self.load(state[0], who, slots)
+        self.log, self.pos, self.new = log, 0, None
+        _, producer, consumer = self.endpoints
+        error = None
+        try:
+            if who == _PRODUCER:
+                result = producer.try_enqueue(script + 1) if script < n else producer.producer_finish()
+            else:
+                result = consumer.try_dequeue() if script[0] == _DEQUEUE else consumer.finished()
+        except _Preempt:
+            result, mine = _Preempt, (script, slots, log + (self.new[2],))
+        except Exception as exc:  # a failure of the queue code is a counterexample
+            label = (who, script, self.new, _Preempt)
+            return None, label, f"invariant violated: {type(exc).__name__}: {exc}"
+        else:
+            after, error = _advance(who, script, result, n)
+            mine = (after, self.save(who), ())
+        shared = tuple(s.v for s in self.stand_ins)
+        nxt = (shared, mine, state[2]) if who == _PRODUCER else (shared, state[1], mine)
+        return nxt, (who, script, self.new, result), error
+
+    def check(self, state: tuple, n: int) -> Optional[str]:
+        """Structural invariants, read from the real slots between operations."""
+        (sent, p_slots, p_log), ((_, received), c_slots, c_log) = state[1:]
+        if p_log or c_log:
+            return None
+        self.load(state[0], _PRODUCER, p_slots)
+        self.load(state[0], _CONSUMER, c_slots)
+        shared = self.shared
+        if self.kind is QueueKind.LAMPORT:
+            occupancy = (shared.tail.v - shared.head.v) % shared.capacity
+            if occupancy != min(sent, n) - received:
+                return f"occupancy {occupancy} != enqueued {min(sent, n)} - dequeued {received}"
+        elif self.kind is QueueKind.MCRINGBUFFER:
+            lags = ((self.endpoints[_PRODUCER]._next_write - shared.write.v) % shared.capacity,
+                    (self.endpoints[_CONSUMER]._next_read - shared.read.v) % shared.capacity)
+            if max(lags) >= shared.batch_size:
+                return f"publication lags {lags} reach batch {shared.batch_size}"
         return None
 
 
-class _FastForwardMachine:
-    """Occupancy-tagged cells; a None cell is empty."""
-
-    def __init__(self, capacity: int, enqueues: int):
-        self.cap = capacity
-        self.m = enqueues
-        self.p0 = (0, 0, 0)          # pc, ops_done, tail (producer-private)
-        self.c0 = (0, 0, 0, GARBAGE)  # pc, ops_done, head, data
-        self.shared0 = ((None,) * capacity,)
-
-    def p_done(self, p) -> bool:
-        return p[1] >= self.m and p[0] == 0
-
-    def c_done(self, c, k: int) -> bool:
-        return c[1] >= k
-
-    def consumed(self, c) -> int:
-        return c[1]
-
-    def step_p(self, p, shared):
-        pc, ops, tail = p
-        (ring,) = shared
-        if pc == 0:  # occupancy check on the target cell
-            if ring[tail] is not None:
-                return p, shared, f"load ring[{tail}] (occupied, retry)"
-            return (1, ops, tail), shared, f"load ring[{tail}] (free)"
-        value = ops + 1
-        after = (tail + 1) % self.cap
-        return (0, ops + 1, after), (_set(ring, tail, value),), \
-            f"store ring[{tail}]={value}"
-
-    def step_c(self, c, shared):
-        pc, ops, head, data = c
-        (ring,) = shared
-        if pc == 0:
-            cell = ring[head]
-            if cell is None:
-                return c, shared, f"load ring[{head}] (empty, retry)", ()
-            return (1, ops, head, cell), shared, f"load ring[{head}] -> {cell}", ()
-        after = (head + 1) % self.cap
-        return (0, ops + 1, after, GARBAGE), (_set(ring, head, None),), \
-            f"store ring[{head}]=None", (data,)
-
-    def check(self, p, c, shared) -> Optional[str]:
-        return None  # indices are endpoint-private by construction
+def _advance(who: int, script: Any, result: Any, n: int):
+    """Move a script past a completed operation; return (script, error)."""
+    if who == _PRODUCER:
+        return (script + 1 if result or script == n else script), None
+    phase, received = script
+    if phase == _FINISHED:
+        if not result:
+            return (_DEQUEUE, received), None
+        lost = f"conservation violated: finished() after {received} of {n} elements"
+        return (_DONE, received), (lost if received != n else None)
+    if result is EMPTY:
+        return (_FINISHED, received), None
+    if result != received + 1:
+        return script, (f"FIFO violated: dequeue #{received} returned {result!r}, "
+                        f"expected {received + 1}")
+    return (_DEQUEUE, received + 1), None
 
 
-class _BatchQueueMachine:
-    """Two halves exchanged through a single ownership flag."""
-
-    def __init__(self, capacity: int, enqueues: int):
-        self.cap = capacity
-        self.half = capacity // 2
-        self.m = enqueues
-        self.p0 = (0, 0, 0)              # pc, ops_done, enq_index
-        self.c0 = (0, 0, 0, 0, ())       # pc, ops_done, deq_index, copy_i, buf
-        self.shared0 = (False, (GARBAGE,) * capacity)  # is_full, ring
-
-    def p_done(self, p) -> bool:
-        return p[1] >= self.m and p[0] == 0
-
-    def c_done(self, c, k: int) -> bool:
-        return c[1] >= k
-
-    def consumed(self, c) -> int:
-        return c[1]
-
-    def step_p(self, p, shared):
-        pc, ops, enq = p
-        is_full, ring = shared
-        if pc == 0:  # write into the producer-owned half
-            value = ops + 1
-            nxt = (enq + 1) % self.cap
-            pc2 = 1 if nxt % self.half == 0 else 0
-            return (pc2, ops + 1, nxt), (is_full, _set(ring, enq, value)), \
-                f"store ring[{enq}]={value}"
-        if pc == 1:  # wait for the previous hand-off to be taken
-            if is_full:
-                return p, shared, "load is_full (still set, retry)"
-            return (2, ops, enq), shared, "load is_full (clear)"
-        return (0, ops, enq), (True, ring), "store is_full=True"
-
-    def step_c(self, c, shared):
-        pc, ops, deq, copy_i, buf = c
-        is_full, ring = shared
-        if pc == 0:
-            if not is_full:
-                return c, shared, "load is_full (unset, retry)", ()
-            return (1, ops, deq, 0, ()), shared, "load is_full (set)", ()
-        if pc == 1:  # copy the published half, one cell per step
-            buf2 = buf + (ring[deq + copy_i],)
-            if copy_i + 1 < self.half:
-                return (1, ops, deq, copy_i + 1, buf2), shared, \
-                    f"load ring[{deq + copy_i}]", ()
-            return (2, ops, deq, 0, buf2), shared, f"load ring[{deq + copy_i}]", ()
-        after = (deq + self.half) % self.cap
-        return (0, ops + self.half, after, 0, ()), (False, ring), \
-            "store is_full=False", buf
-
-    def check(self, p, c, shared) -> Optional[str]:
-        is_full, _ring = shared
-        if is_full and p[0] == 0 and not self.p_done(p):
-            # With a hand-off pending, the producer's next write must
-            # stay out of the consumer-owned half.
-            if p[2] // self.half == c[2] // self.half:
-                return (
-                    f"producer about to write index {p[2]} inside the "
-                    f"half owned by the consumer (deq={c[2]})"
-                )
-        return None
+def _describe(label: tuple, n: int) -> str:
+    """Format a step; ``result`` is ``_Preempt`` if the operation did not end."""
+    who, script, access, result = label
+    if who == _PRODUCER:
+        text = f"P: try_enqueue({script + 1})" if script < n else "P: producer_finish()"
+    else:
+        text = "C: try_dequeue()" if script[0] == _DEQUEUE else "C: finished()"
+    if access is not None:
+        load, where, value, path, line = access
+        source = linecache.getline(path, line).strip()
+        text += (f" {'load' if load else 'store'} {where} {'->' if load else '='} {value!r}"
+                 f"  [{os.path.basename(path)}:{line}: {source}]")
+    return text if result is _Preempt else f"{text}, returns {result!r}"
 
 
-class _MCRingMachine:
-    """Private working indices, shared pair republished per batch."""
-
-    def __init__(self, capacity: int, enqueues: int, batch: int):
-        self.cap = capacity
-        self.m = enqueues
-        self.batch = batch
-        self.p0 = (0, 0, 0, 0, 0)  # pc, ops, local_read, next_write, w_batch
-        self.c0 = (0, 0, 0, 0, 0)  # pc, ops, local_write, next_read, r_batch
-        self.shared0 = (0, 0, (GARBAGE,) * capacity)  # read, write, ring
-
-    def p_done(self, p) -> bool:
-        return p[1] >= self.m and p[0] == 0
-
-    def c_done(self, c, k: int) -> bool:
-        return c[1] >= k and c[0] == 0
-
-    def consumed(self, c) -> int:
-        return c[1]
-
-    def step_p(self, p, shared):
-        pc, ops, local_read, next_write, w_batch = p
-        s_read, s_write, ring = shared
-        after = (next_write + 1) % self.cap
-        if pc == 0:
-            if after == local_read:  # refresh the read snapshot
-                if after == s_read:
-                    return p, shared, "load read (full, retry)"
-                return (0, ops, s_read, next_write, w_batch), shared, \
-                    f"load read -> {s_read}"
-            value = ops + 1
-            w2 = w_batch + 1
-            pc2 = 1 if w2 >= self.batch else 0
-            return (pc2, ops + 1, local_read, after, w2), \
-                (s_read, s_write, _set(ring, next_write, value)), \
-                f"store ring[{next_write}]={value}"
-        return (0, ops, local_read, next_write, 0), \
-            (s_read, next_write, ring), f"store write={next_write}"
-
-    def step_c(self, c, shared):
-        pc, ops, local_write, next_read, r_batch = c
-        s_read, s_write, ring = shared
-        if pc == 0:
-            if next_read == local_write:  # refresh the write snapshot
-                if next_read == s_write:
-                    return c, shared, "load write (empty, retry)", ()
-                return (0, ops, s_write, next_read, r_batch), shared, \
-                    f"load write -> {s_write}", ()
-            data = ring[next_read]
-            after = (next_read + 1) % self.cap
-            r2 = r_batch + 1
-            pc2 = 1 if r2 >= self.batch else 0
-            return (pc2, ops + 1, local_write, after, r2), shared, \
-                f"load ring[{next_read}] -> {data}", (data,)
-        return (0, ops, local_write, next_read, 0), \
-            (next_read, s_write, ring), f"store read={next_read}", ()
-
-    def check(self, p, c, shared) -> Optional[str]:
-        s_read, s_write, _ring = shared
-        if p[0] == 0:  # publication lag bound at rest
-            lag = (p[3] - s_write) % self.cap
-            if lag >= self.batch:
-                return f"producer index lag {lag} >= batch {self.batch}"
-        if c[0] == 0:
-            lag = (c[3] - s_read) % self.cap
-            if lag >= self.batch:
-                return f"consumer index lag {lag} >= batch {self.batch}"
-        return None
+def _build(kind: QueueKind, config: QueueConfig, producer_class: Optional[Type]):
+    producer, consumer = new_queue(kind, config)
+    if producer_class is not None:
+        producer.__class__ = producer_class
+    return producer, consumer
 
 
-def _build_machine(
-    kind: QueueKind, capacity: int, enqueues: int, mcr_batch: int, mutation: Optional[str]
-):
-    if mutation is not None:
-        if mutation != "publish_before_write" or kind is not QueueKind.LAMPORT:
-            raise ValueError(
-                f"unsupported mutation {mutation!r} for {kind.value}"
-            )
-        return _LamportMachine(capacity, enqueues, mutated=True)
-    if kind is QueueKind.LAMPORT:
-        return _LamportMachine(capacity, enqueues)
-    if kind is QueueKind.FASTFORWARD:
-        return _FastForwardMachine(capacity, enqueues)
-    if kind is QueueKind.BATCHQUEUE:
-        if capacity % 2 != 0:
-            raise InvalidConfig(f"BatchQueue capacity must be even, got {capacity}")
-        return _BatchQueueMachine(capacity, enqueues)
-    if kind is QueueKind.MCRINGBUFFER:
-        if capacity % mcr_batch != 0:
-            raise InvalidConfig(
-                f"mcr_batch {mcr_batch} must divide capacity {capacity}"
-            )
-        return _MCRingMachine(capacity, enqueues, mcr_batch)
-    raise InvalidConfig(f"unknown queue kind: {kind!r}")
+def explore(
+    kind: QueueKind,
+    config: QueueConfig,
+    enqueues: int,
+    dequeues: Optional[int] = None,
+    *,
+    producer_class: Optional[Type[ProducerEndpoint]] = None,
+) -> Optional[CounterexampleTrace]:
+    """Search every schedule of the queue ``new_queue(kind, config)``
+    builds; None means all clean, else the first failing schedule.
 
-
-def _fair_run_consumable(machine, enqueues: int) -> Tuple[int, int]:
-    """Alternate each agent to its fixpoint and report how far both get.
-
-    Returns (producer_ops_completed, consumer_ops_completed) for a fair
-    schedule; this sizes the dequeue script since batching can leave a
-    published-index tail that no schedule may consume.
+    ``producer_class`` replaces the producer's class (a subclass with the
+    same slots), which is how a seeded bug is checked. A fair run without
+    ``producer_finish`` (each endpoint in turn until it stalls) must get
+    all ``enqueues`` in and, if given, ``dequeues`` out, else ValueError;
+    the search itself always drains to ``finished()``. It has no size
+    bound of its own.
     """
-    p, c, shared = machine.p0, machine.c0, machine.shared0
-    unlimited = enqueues * 4 + 16
+    config = replace(config, debug=True)  # the half-ownership check
+    producer, consumer = _build(kind, config, producer_class)
+    sent = got = 0
     while True:
-        progressed = False
-        while not machine.p_done(p):
-            res = machine.step_p(p, shared)
-            if (res[0], res[1]) == (p, shared):
-                break
-            p, shared = res[0], res[1]
-            progressed = True
-        while not machine.c_done(c, unlimited):
-            res = machine.step_c(c, shared)
-            if (res[0], res[1]) == (c, shared):
-                break
-            c, shared = res[0], res[1]
-            progressed = True
-        if not progressed:
-            return p[1], machine.consumed(c)
+        before = sent + got
+        while sent < enqueues and producer.try_enqueue(sent + 1):
+            sent += 1
+        while consumer.try_dequeue() is not EMPTY:
+            got += 1
+        if sent + got == before:
+            break
+    if sent < enqueues:
+        raise ValueError(f"enqueue script of {enqueues} cannot complete at "
+                         f"capacity {config.capacity} (only {sent} reachable)")
+    if dequeues is not None and dequeues > got:
+        raise ValueError(f"dequeue script of {dequeues} exceeds the {got} "
+                         f"consumable at this configuration")
+
+    n = enqueues
+    system = _System(kind, *_build(kind, config, producer_class))
+    init = system.initial()
+    parents = {init: None}
+    preds: dict = {}
+    stack = [init]
+
+    def trace(state: tuple, reason: str, last: Optional[tuple] = None) -> CounterexampleTrace:
+        labels = [] if last is None else [last]
+        while parents[state] is not None:
+            state, label = parents[state]
+            labels.append(label)
+        return CounterexampleTrace(reason, tuple(_describe(x, n) for x in reversed(labels)))
+
+    while stack:
+        state = stack.pop()
+        msg = system.check(state, n)
+        if msg is not None:
+            return trace(state, f"invariant violated: {msg}")
+        for who in (_PRODUCER, _CONSUMER):
+            if state[_PRODUCER][0] > n if who == _PRODUCER else state[_CONSUMER][0][0] == _DONE:
+                continue
+            nxt, label, error = system.step(state, who, n)
+            if error is not None:
+                return trace(state, error, label)
+            if nxt != state:
+                preds.setdefault(nxt, []).append(state)
+                if nxt not in parents:
+                    parents[nxt] = (state, label)
+                    stack.append(nxt)
+
+    finals = [s for s in parents if s[_PRODUCER][0] > n and s[_CONSUMER][0][0] == _DONE]
+    live, todo = set(finals), finals
+    while todo:
+        for prev in preds.get(todo.pop(), ()):
+            if prev not in live:
+                live.add(prev)
+                todo.append(prev)
+    for s in parents:
+        if s not in live:
+            return trace(s, f"progress violated: no schedule completes both scripts "
+                            f"from here ({s[_CONSUMER][0][1]}/{n} dequeued)")
+    return None
+
+
+class _PublishBeforeWrite(LamportProducer):
+    """Seeded bug: the tail is published before the payload is written."""
+
+    __slots__ = ()
+
+    def try_enqueue(self, item: Any) -> bool:
+        tail = self._tail
+        nxt = (tail + 1) % self._capacity
+        if nxt == self._head_box.value:
+            return False
+        self._tail = nxt
+        self._tail_box.value = nxt  # publish early
+        self._ring[tail] = item
+        return True
 
 
 def explore_interleavings(
@@ -373,10 +372,11 @@ def explore_interleavings(
 ) -> Optional[CounterexampleTrace]:
     """Explore every schedule of a tiny instance; None means all clean.
 
-    ``dequeues`` defaults to the largest count any fair schedule can
-    consume given ``enqueues`` (equal to it except where batching holds
-    back a partial hand-off). The first schedule that breaks FIFO, a
-    structural invariant, or progress is returned as a trace.
+    ``dequeues`` is the count a fair run delivers before
+    ``producer_finish`` (``enqueues`` except where batching holds back a
+    partial hand-off); a larger one is rejected with ValueError. The
+    consumer drains to ``finished()`` either way. The only ``mutation``
+    is ``"publish_before_write"``, on Lamport.
     """
     if capacity < 2 or capacity > MAX_CAPACITY:
         raise BoundsExceeded(f"capacity must be in 2..{MAX_CAPACITY}, got {capacity}")
@@ -384,84 +384,10 @@ def explore_interleavings(
         raise BoundsExceeded(f"enqueues must be in 0..{MAX_OPS}, got {enqueues}")
     if dequeues is not None and (dequeues < 0 or dequeues > MAX_OPS):
         raise BoundsExceeded(f"dequeues must be in 0..{MAX_OPS}, got {dequeues}")
-
-    machine = _build_machine(kind, capacity, enqueues, mcr_batch, mutation)
-    reachable_m, reachable_k = _fair_run_consumable(machine, enqueues)
-    if mutation is None and reachable_m < enqueues:
-        raise ValueError(
-            f"enqueue script of {enqueues} cannot complete at capacity "
-            f"{capacity} (only {reachable_m} reachable)"
-        )
-    if dequeues is None:
-        dequeues = min(reachable_k, MAX_OPS)
-    elif dequeues > reachable_k and mutation is None:
-        raise ValueError(
-            f"dequeue script of {dequeues} exceeds the {reachable_k} "
-            f"consumable at this configuration"
-        )
-    k = dequeues
-
-    init = (machine.p0, machine.c0, machine.shared0)
-    visited = {init}
-    parents: Dict[tuple, Optional[Tuple[tuple, str]]] = {init: None}
-    stack = [init]
-
-    def trace_back(state: tuple, reason: str) -> CounterexampleTrace:
-        steps: List[str] = []
-        cur = state
-        while parents[cur] is not None:
-            prev, label = parents[cur]
-            steps.append(label)
-            cur = prev
-        steps.reverse()
-        return CounterexampleTrace(reason=reason, steps=tuple(steps))
-
-    while stack:
-        state = stack.pop()
-        p, c, shared = state
-
-        msg = machine.check(p, c, shared)
-        if msg is not None:
-            return trace_back(state, f"invariant violated: {msg}")
-
-        p_active = not machine.p_done(p)
-        c_active = not machine.c_done(c, k)
-        moves = []
-        if p_active:
-            p2, sh2, label = machine.step_p(p, shared)
-            ns = (p2, c, sh2)
-            if ns != state:
-                moves.append((ns, "P: " + label, ()))
-        if c_active:
-            c2, sh2, label, recorded = machine.step_c(c, shared)
-            ns = (p, c2, sh2)
-            if ns != state:
-                moves.append((ns, "C: " + label, recorded))
-
-        if not moves:
-            if p_active or c_active:
-                return trace_back(
-                    state,
-                    "deadlock: both endpoints retry forever with "
-                    f"{machine.consumed(c)}/{k} consumed",
-                )
-            continue  # final state: scripts completed, FIFO held throughout
-
-        consumed_before = machine.consumed(c)
-        for ns, label, recorded in moves:
-            known = ns in visited
-            if not known:
-                visited.add(ns)
-                parents[ns] = (state, label)
-                stack.append(ns)
-            for j, value in enumerate(recorded):
-                expected = consumed_before + j + 1
-                if value != expected:
-                    if known:  # make the failing edge visible in the trace
-                        parents[ns] = (state, label)
-                    return trace_back(
-                        ns,
-                        f"FIFO violated: dequeue #{consumed_before + j} "
-                        f"returned {value!r}, expected {expected}",
-                    )
-    return None
+    producer_class = None
+    if mutation is not None:
+        if mutation != "publish_before_write" or kind is not QueueKind.LAMPORT:
+            raise ValueError(f"unsupported mutation {mutation!r} for {kind.value}")
+        producer_class = _PublishBeforeWrite
+    config = QueueConfig(capacity, mcr_batch_size=mcr_batch)
+    return explore(kind, config, enqueues, dequeues, producer_class=producer_class)

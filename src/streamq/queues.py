@@ -452,7 +452,8 @@ class FastForwardConsumer(ConsumerEndpoint):
 # Termination: leftovers (a partially filled half, or a completed half
 # whose publication never resolved) are exposed through leftover_flag
 # plus the producer's index; the consumer only reads that range after
-# observing producer_done, so no write can race the drain.
+# observing producer_done, so no write can race the drain. A half that
+# was published after the consumer last loaded is_full is taken first.
 
 
 class _BatchQueueShared:
@@ -567,18 +568,25 @@ class BatchQueueConsumer(ConsumerEndpoint):
             self._deq_successes += 1
             return item
         if self._is_full.value:
-            self._refill(self._half)
-            self._is_full.value = False  # return the half to the producer
-            self._publications += 1
-            return self._take_first()
+            return self._take_half()
         shared = self._shared
         if shared.producer_done.value and shared.leftover_flag.value and not self._leftovers_taken:
+            # The producer may have published a half and finished since
+            # is_full was loaded above; that half precedes the leftovers.
+            if self._is_full.value:
+                return self._take_half()
             count = (shared.enq_index.value - self._deq_index) % self._capacity
             self._leftovers_taken = True
             if count:
                 self._refill(count)
                 return self._take_first()
         return EMPTY
+
+    def _take_half(self) -> Any:
+        self._refill(self._half)
+        self._is_full.value = False  # return the half to the producer
+        self._publications += 1
+        return self._take_first()
 
     def _refill(self, count: int) -> None:
         # Halves are aligned, so [deq, deq+count) never wraps the ring.

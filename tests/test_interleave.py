@@ -1,8 +1,10 @@
-"""Exhaustive interleaving exploration of the step machines."""
+"""Exhaustive interleaving exploration of the shipped queue classes."""
 
 import pytest
 
-from streamq import BoundsExceeded, QueueKind, explore_interleavings
+from streamq import BoundsExceeded, QueueConfig, QueueKind, explore_interleavings, new_queue
+from streamq.interleave import _Shared, _slots, _System, explore
+from streamq.queues import MCRingProducer, _Cell
 
 
 ALL_KINDS = list(QueueKind)
@@ -71,3 +73,59 @@ def test_batch_grain_limits_default_dequeues():
     # default dequeue script adapts and the run stays clean.
     assert explore_interleavings(QueueKind.BATCHQUEUE, 4, 5) is None
     assert explore_interleavings(QueueKind.MCRINGBUFFER, 4, 5, mcr_batch=2) is None
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_instrumentation_leaves_no_raw_shared_state(kind):
+    # The search sees only accesses made through the stand-ins, so a
+    # shared field that bypasses them (one added without a _Cell, say)
+    # would hide its interleavings. It must fail here instead.
+    producer, consumer = new_queue(kind, QueueConfig(capacity=4))
+    shared = producer._shared
+    raw = [getattr(shared, n) for n in _slots(shared)]
+    raw = [v for v in raw if isinstance(v, (_Cell, list))]
+    _System(kind, producer, consumer)
+    for obj in (shared, producer, consumer):
+        assert not getattr(obj, "__dict__", None), "state outside the slots"
+        for name in _slots(obj):
+            value = getattr(obj, name)
+            assert not isinstance(value, _Cell), name
+            assert all(value is not r for r in raw), name
+    for name in _slots(shared):
+        value = getattr(shared, name)
+        assert isinstance(value, _Shared) or type(value) is int, name
+
+
+@pytest.mark.parametrize("period", [1, 2])
+@pytest.mark.parametrize("enqueues", range(1, 7))
+def test_mcr_heartbeat_and_partial_flush_clean(period, enqueues):
+    config = QueueConfig(capacity=4, mcr_batch_size=2, mcr_heartbeat_period=period)
+    assert explore(QueueKind.MCRINGBUFFER, config, enqueues) is None
+
+
+@pytest.mark.parametrize("enqueues", range(1, 7))
+def test_batchqueue_leftovers_and_pending_publish_clean(enqueues):
+    # Half size 2: every leftover remainder, and from 4 elements on a
+    # completed half whose publication waits for the consumer.
+    assert explore(QueueKind.BATCHQUEUE, QueueConfig(capacity=4), enqueues) is None
+
+
+class _FinishWithoutFlush(MCRingProducer):
+    """Seeded bug: producer_finish forgets the unpublished partial batch."""
+
+    __slots__ = ()
+
+    def producer_finish(self):
+        self._shared.producer_done.value = True
+
+
+def test_finish_without_flush_mutation_caught():
+    trace = explore(
+        QueueKind.MCRINGBUFFER,
+        QueueConfig(capacity=4, mcr_batch_size=2),
+        3,
+        producer_class=_FinishWithoutFlush,
+    )
+    assert trace is not None
+    assert "conservation" in trace.reason
+    assert any("producer_finish" in s for s in trace.steps)

@@ -152,6 +152,46 @@ def test_mcr_finish_flushes_partial_batch():
     assert consumer.drain() == [0, 1, 2, 3, 4]
 
 
+class _LoadThenRun:
+    """Wraps a _Cell; its first load runs ``interrupt`` after reading, so
+    the reader acts on the value from before ``interrupt`` ran."""
+
+    __slots__ = ("_cell", "_interrupt")
+
+    def __init__(self, cell, interrupt):
+        self._cell = cell
+        self._interrupt = interrupt
+
+    @property
+    def value(self):
+        value = self._cell.value
+        interrupt, self._interrupt = self._interrupt, None
+        if interrupt is not None:
+            interrupt()
+        return value
+
+    @value.setter
+    def value(self, value):
+        self._cell.value = value
+
+
+@pytest.mark.parametrize("capacity, total", [(2, 2), (4, 3), (8, 8)])
+def test_batchqueue_half_published_while_consumer_checks_leftovers(capacity, total):
+    # The consumer loads is_full (False) and is preempted; the producer
+    # publishes a half, fills the next and finishes. The consumer then
+    # sees producer_done and the leftover flag, and must still take the
+    # published half before the leftovers.
+    producer, consumer = make(QueueKind.BATCHQUEUE, capacity)
+
+    def produce_all():
+        for i in range(1, total + 1):
+            assert producer.try_enqueue(i)
+        producer.producer_finish()
+
+    consumer._is_full = _LoadThenRun(consumer._is_full, produce_all)
+    assert consumer.drain() == list(range(1, total + 1))
+
+
 @pytest.mark.parametrize("kind", [QueueKind.LAMPORT, QueueKind.FASTFORWARD])
 def test_finish_then_drain_plain_kinds(kind):
     producer, consumer = make(kind, 16)
