@@ -29,7 +29,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from io import StringIO
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .aggregation import WindowSpec
 from .oracle import OpLog, check_fifo, oracle_aggregate
@@ -128,6 +128,21 @@ class ReportRow:
     throughput_ops_per_ms: float
     joules: Optional[float] = None
     joules_per_message: Optional[float] = None
+
+    @classmethod
+    def measured(
+        cls, *, elapsed_ms: float, ops: int, joules: Optional[float], **fields: Any
+    ) -> "ReportRow":
+        """A row whose throughput and energy per message are derived
+        from ``ops``, ``elapsed_ms`` and ``joules``."""
+        return cls(
+            elapsed_ms=elapsed_ms,
+            ops=ops,
+            throughput_ops_per_ms=ops / elapsed_ms if elapsed_ms > 0 else 0.0,
+            joules=joules,
+            joules_per_message=joules / ops if joules is not None and ops else None,
+            **fields,
+        )
 
     def to_csv(self) -> str:
         def opt(v) -> str:
@@ -467,11 +482,8 @@ def _summarize(rows: List[ReportRow]) -> ReportRow:
     """Mean row over one configuration's repetitions; the throughput is
     recomputed from the mean elapsed so the ops/elapsed identity holds."""
     first = rows[0]
-    mean_elapsed = sum(r.elapsed_ms for r in rows) / len(rows)
     joules = [r.joules for r in rows if r.joules is not None]
-    mean_joules = sum(joules) / len(joules) if joules else None
-    throughput = first.ops / mean_elapsed if mean_elapsed > 0 else 0.0
-    return ReportRow(
+    return ReportRow.measured(
         kind=first.kind,
         capacity=first.capacity,
         element_size=first.element_size,
@@ -479,13 +491,9 @@ def _summarize(rows: List[ReportRow]) -> ReportRow:
         producers=first.producers,
         aggregators=first.aggregators,
         rep="mean",
-        elapsed_ms=mean_elapsed,
+        elapsed_ms=sum(r.elapsed_ms for r in rows) / len(rows),
         ops=first.ops,
-        throughput_ops_per_ms=throughput,
-        joules=mean_joules,
-        joules_per_message=(
-            mean_joules / first.ops if mean_joules is not None and first.ops else None
-        ),
+        joules=sum(joules) / len(joules) if joules else None,
     )
 
 
@@ -517,9 +525,8 @@ def run_micro(config: BenchConfig) -> List[ReportRow]:
                     )
                     if rep < config.warmup:
                         continue
-                    elapsed_ms = elapsed * 1000.0
                     rep_rows.append(
-                        ReportRow(
+                        ReportRow.measured(
                             kind=kind.value,
                             capacity=capacity,
                             element_size=element_size,
@@ -527,17 +534,9 @@ def run_micro(config: BenchConfig) -> List[ReportRow]:
                             producers=1,
                             aggregators=None,
                             rep=str(rep - config.warmup),
-                            elapsed_ms=elapsed_ms,
+                            elapsed_ms=elapsed * 1000.0,
                             ops=config.tuples,
-                            throughput_ops_per_ms=(
-                                config.tuples / elapsed_ms if elapsed_ms > 0 else 0.0
-                            ),
                             joules=joules,
-                            joules_per_message=(
-                                joules / config.tuples
-                                if joules is not None and config.tuples
-                                else None
-                            ),
                         )
                     )
                 rows.extend(rep_rows)
@@ -588,9 +587,8 @@ def run_pipeline_bench(config: BenchConfig) -> List[ReportRow]:
                         )
                 if rep < config.warmup:
                     continue
-                elapsed_ms = metrics.elapsed_s * 1000.0
                 rep_rows.append(
-                    ReportRow(
+                    ReportRow.measured(
                         kind=kind.value,
                         capacity=capacity,
                         element_size=None,
@@ -598,17 +596,9 @@ def run_pipeline_bench(config: BenchConfig) -> List[ReportRow]:
                         producers=config.producers,
                         aggregators=config.aggregators,
                         rep=str(rep - config.warmup),
-                        elapsed_ms=elapsed_ms,
+                        elapsed_ms=metrics.elapsed_s * 1000.0,
                         ops=metrics.messages,
-                        throughput_ops_per_ms=(
-                            metrics.messages / elapsed_ms if elapsed_ms > 0 else 0.0
-                        ),
                         joules=joules,
-                        joules_per_message=(
-                            joules / metrics.messages
-                            if joules is not None and metrics.messages
-                            else None
-                        ),
                     )
                 )
             rows.extend(rep_rows)

@@ -22,7 +22,9 @@ sees ``1, 2, ...`` and nothing else), conservation (it has all ``n``
 when ``finished()`` holds), progress (every reachable state can still
 complete both scripts), exceptions from the queue code (BatchQueue's
 ``debug`` half-ownership assertion is on) and, between operations,
-Lamport occupancy and MCRingBuffer publication lag read from the slots.
+Lamport occupancy and MCRingBuffer publication lag read from the slots:
+each endpoint's lag stays below the batch size, and the producer's also
+below the heartbeat period of the ``QueueConfig`` given to ``explore``.
 """
 
 from __future__ import annotations
@@ -144,6 +146,7 @@ class _System:
         self.lists = {n for e in (producer, consumer) for n in _slots(e)
                       if type(getattr(e, n)) is list}
         self.log, self.pos, self.new = (), 0, None
+        self.lag_bounds = None  # MCRingBuffer's (producer, consumer); explore sets it
 
     def access(self, target: _Shared, index: Optional[int], store: Any) -> Any:
         """Replay the current operation's recorded accesses; make one new one."""
@@ -219,8 +222,8 @@ class _System:
         elif self.kind is QueueKind.MCRINGBUFFER:
             lags = ((self.endpoints[_PRODUCER]._next_write - shared.write.v) % shared.capacity,
                     (self.endpoints[_CONSUMER]._next_read - shared.read.v) % shared.capacity)
-            if max(lags) >= shared.batch_size:
-                return f"publication lags {lags} reach batch {shared.batch_size}"
+            if any(lag >= bound for lag, bound in zip(lags, self.lag_bounds)):
+                return f"publication lags {lags} reach bounds {self.lag_bounds}"
         return None
 
 
@@ -302,6 +305,9 @@ def explore(
 
     n = enqueues
     system = _System(kind, *_build(kind, config, producer_class))
+    # The heartbeat period caps the producer's unpublished elements too.
+    batch = config.mcr_batch_size
+    system.lag_bounds = (min(batch, config.mcr_heartbeat_period or batch), batch)
     init = system.initial()
     parents = {init: None}
     preds: dict = {}

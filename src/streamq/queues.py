@@ -10,7 +10,8 @@ interface:
 * ``BATCHQUEUE`` -- the array is split into two halves that producer and
   consumer exchange wholesale through a single ownership flag.
 * ``MCRINGBUFFER`` -- private working indices republished to the shared
-  control pair only every ``batch_size`` operations.
+  control pair only every ``batch_size`` operations (the producer's
+  every ``mcr_heartbeat_period``, if that is smaller).
 
 ``new_queue`` returns a ``(producer, consumer)`` endpoint pair over one
 shared ring. Each endpoint must be driven by at most one thread at a
@@ -72,10 +73,6 @@ class _Sentinel:
 #: sentinel (not None) so that None is a legal payload on every kind.
 EMPTY = _Sentinel("EMPTY")
 
-#: Internal filler element injected by the MCRingBuffer heartbeat;
-#: consumers discard it transparently.
-_HEARTBEAT = _Sentinel("HEARTBEAT")
-
 # Waiter's policy. Sleeping for real after a run of yields keeps
 # many-thread pipelines from thrashing.
 _YIELD_MISSES = 64
@@ -120,9 +117,11 @@ class QueueConfig:
     ``capacity`` is the slot count of the backing array. BatchQueue
     requires it to be even (two equal halves). ``mcr_batch_size`` and
     ``mcr_heartbeat_period`` only affect MCRingBuffer; the batch size
-    must divide the capacity, which keeps index publication aligned to
-    the ring and simplifies wrap bookkeeping. ``debug`` enables extra
-    ownership assertions on the hot paths.
+    must divide the capacity. The heartbeat period is a publication
+    threshold: the producer publishes its index once ``min(batch size,
+    period)`` elements are unpublished, so a stalled input never hides
+    that many. ``debug`` enables extra ownership assertions on the hot
+    paths.
     """
 
     capacity: int
@@ -180,15 +179,29 @@ class _Cell:
 
 
 class ProducerEndpoint:
-    """Base producer handle: spin wrapper, finish protocol, stats."""
+    """Base producer handle: the shared ring, spin wrapper, finish
+    protocol and stats. Subclasses add only their own synchronization."""
 
-    _kind: QueueKind
+    __slots__ = (
+        "_shared", "_ring", "_capacity",
+        "_enq_attempts", "_enq_successes", "_publications",
+    )
+
+    def __init__(self, shared: Any):
+        self._shared = shared
+        self._ring = shared.ring
+        self._capacity = shared.capacity
+        self._enq_attempts = 0
+        self._enq_successes = 0
+        self._publications = 0
 
     def try_enqueue(self, item: Any) -> bool:
         raise NotImplementedError
 
     def producer_finish(self) -> None:
-        raise NotImplementedError
+        """Mark the stream complete. A subclass that holds elements back
+        publishes them first, then calls this last."""
+        self._shared.producer_done.value = True
 
     def enqueue_spin(
         self,
@@ -219,9 +232,21 @@ class ProducerEndpoint:
 
 
 class ConsumerEndpoint:
-    """Base consumer handle: spin wrapper, drain helper, stats."""
+    """Base consumer handle: the shared ring, spin wrapper, drain helper
+    and stats. Subclasses add only their own synchronization."""
 
-    _kind: QueueKind
+    __slots__ = (
+        "_shared", "_ring", "_capacity",
+        "_deq_attempts", "_deq_successes", "_publications",
+    )
+
+    def __init__(self, shared: Any):
+        self._shared = shared
+        self._ring = shared.ring
+        self._capacity = shared.capacity
+        self._deq_attempts = 0
+        self._deq_successes = 0
+        self._publications = 0
 
     def try_dequeue(self) -> Any:
         raise NotImplementedError
@@ -279,22 +304,13 @@ class _LamportShared:
 
 
 class LamportProducer(ProducerEndpoint):
-    _kind = QueueKind.LAMPORT
-    __slots__ = (
-        "_shared", "_ring", "_capacity", "_tail", "_tail_box", "_head_box",
-        "_enq_attempts", "_enq_successes", "_publications",
-    )
+    __slots__ = ("_tail", "_tail_box", "_head_box")
 
-    def __init__(self, shared: _LamportShared):
-        self._shared = shared
-        self._ring = shared.ring
-        self._capacity = shared.capacity
+    def __init__(self, shared: _LamportShared, config: QueueConfig):
+        super().__init__(shared)
         self._tail = 0  # private mirror of the shared tail
         self._tail_box = shared.tail
         self._head_box = shared.head
-        self._enq_attempts = 0
-        self._enq_successes = 0
-        self._publications = 0
 
     def try_enqueue(self, item: Any) -> bool:
         self._enq_attempts += 1
@@ -311,27 +327,15 @@ class LamportProducer(ProducerEndpoint):
         self._publications += 1
         return True
 
-    def producer_finish(self) -> None:
-        self._shared.producer_done.value = True
-
 
 class LamportConsumer(ConsumerEndpoint):
-    _kind = QueueKind.LAMPORT
-    __slots__ = (
-        "_shared", "_ring", "_capacity", "_head", "_head_box", "_tail_box",
-        "_deq_attempts", "_deq_successes", "_publications",
-    )
+    __slots__ = ("_head", "_head_box", "_tail_box")
 
     def __init__(self, shared: _LamportShared):
-        self._shared = shared
-        self._ring = shared.ring
-        self._capacity = shared.capacity
+        super().__init__(shared)
         self._head = 0
         self._head_box = shared.head
         self._tail_box = shared.tail
-        self._deq_attempts = 0
-        self._deq_successes = 0
-        self._publications = 0
 
     def try_dequeue(self) -> Any:
         self._deq_attempts += 1
@@ -349,9 +353,7 @@ class LamportConsumer(ConsumerEndpoint):
         return item
 
     def finished(self) -> bool:
-        if not self._shared.producer_done.value:
-            return False
-        return self._head == self._tail_box.value
+        return self._shared.producer_done.value and self._head == self._tail_box.value
 
 
 # ---------------------------------------------------------------------------
@@ -373,20 +375,11 @@ class _FastForwardShared:
 
 
 class FastForwardProducer(ProducerEndpoint):
-    _kind = QueueKind.FASTFORWARD
-    __slots__ = (
-        "_shared", "_ring", "_capacity", "_tail",
-        "_enq_attempts", "_enq_successes", "_publications",
-    )
+    __slots__ = ("_tail",)
 
-    def __init__(self, shared: _FastForwardShared):
-        self._shared = shared
-        self._ring = shared.ring
-        self._capacity = shared.capacity
+    def __init__(self, shared: _FastForwardShared, config: QueueConfig):
+        super().__init__(shared)
         self._tail = 0  # never read by the consumer
-        self._enq_attempts = 0
-        self._enq_successes = 0
-        self._publications = 0
 
     def try_enqueue(self, item: Any) -> bool:
         self._enq_attempts += 1
@@ -400,25 +393,13 @@ class FastForwardProducer(ProducerEndpoint):
         self._publications += 1
         return True
 
-    def producer_finish(self) -> None:
-        self._shared.producer_done.value = True
-
 
 class FastForwardConsumer(ConsumerEndpoint):
-    _kind = QueueKind.FASTFORWARD
-    __slots__ = (
-        "_shared", "_ring", "_capacity", "_head",
-        "_deq_attempts", "_deq_successes", "_publications",
-    )
+    __slots__ = ("_head",)
 
     def __init__(self, shared: _FastForwardShared):
-        self._shared = shared
-        self._ring = shared.ring
-        self._capacity = shared.capacity
+        super().__init__(shared)
         self._head = 0  # never read by the producer
-        self._deq_attempts = 0
-        self._deq_successes = 0
-        self._publications = 0
 
     def try_dequeue(self) -> Any:
         self._deq_attempts += 1
@@ -434,9 +415,7 @@ class FastForwardConsumer(ConsumerEndpoint):
         return cell[0]
 
     def finished(self) -> bool:
-        if not self._shared.producer_done.value:
-            return False
-        return self._ring[self._head] is None
+        return self._shared.producer_done.value and self._ring[self._head] is None
 
 
 # ---------------------------------------------------------------------------
@@ -473,26 +452,19 @@ class _BatchQueueShared:
 
 
 class BatchQueueProducer(ProducerEndpoint):
-    _kind = QueueKind.BATCHQUEUE
     __slots__ = (
-        "_shared", "_ring", "_half", "_capacity", "_is_full", "_enq_index",
-        "_pending_publish", "_published_half", "_debug",
-        "_enq_attempts", "_enq_successes", "_publications",
+        "_half", "_is_full", "_enq_index", "_pending_publish",
+        "_published_half", "_debug",
     )
 
-    def __init__(self, shared: _BatchQueueShared, debug: bool = False):
-        self._shared = shared
-        self._ring = shared.ring
+    def __init__(self, shared: _BatchQueueShared, config: QueueConfig):
+        super().__init__(shared)
         self._half = shared.half
-        self._capacity = shared.capacity
         self._is_full = shared.is_full
         self._enq_index = 0  # private; exposed via shared box at finish
         self._pending_publish = False
         self._published_half = -1
-        self._debug = debug
-        self._enq_attempts = 0
-        self._enq_successes = 0
-        self._publications = 0
+        self._debug = config.debug
 
     def try_enqueue(self, item: Any) -> bool:
         self._enq_attempts += 1
@@ -502,9 +474,7 @@ class BatchQueueProducer(ProducerEndpoint):
             self._publish()
         idx = self._enq_index
         if self._debug and self._is_full.value and idx // self._half == self._published_half:
-            raise AssertionError(
-                "producer writing into the half owned by the consumer"
-            )
+            raise AssertionError("producer writing into the half owned by the consumer")
         self._ring[idx] = item
         idx += 1
         if idx == self._capacity:
@@ -534,30 +504,23 @@ class BatchQueueProducer(ProducerEndpoint):
         if leftovers:
             shared.leftover_flag.value = True
             self._publications += 1  # exposes committed elements
-        shared.producer_done.value = True
+        super().producer_finish()
 
 
 class BatchQueueConsumer(ConsumerEndpoint):
-    _kind = QueueKind.BATCHQUEUE
     __slots__ = (
-        "_shared", "_ring", "_half", "_capacity", "_is_full", "_deq_index",
-        "_copy_buf", "_copy_pos", "_leftovers_taken",
-        "_deq_attempts", "_deq_successes", "_publications",
+        "_half", "_is_full", "_deq_index", "_copy_buf", "_copy_pos",
+        "_leftovers_taken",
     )
 
     def __init__(self, shared: _BatchQueueShared):
-        self._shared = shared
-        self._ring = shared.ring
+        super().__init__(shared)
         self._half = shared.half
-        self._capacity = shared.capacity
         self._is_full = shared.is_full
         self._deq_index = 0
         self._copy_buf: list = []
         self._copy_pos = 0
         self._leftovers_taken = False
-        self._deq_attempts = 0
-        self._deq_successes = 0
-        self._publications = 0
 
     def try_dequeue(self) -> Any:
         self._deq_attempts += 1
@@ -626,30 +589,23 @@ class _MCRingShared:
 
 
 class MCRingProducer(ProducerEndpoint):
-    _kind = QueueKind.MCRINGBUFFER
     __slots__ = (
-        "_shared", "_ring", "_capacity", "_batch", "_write_box", "_read_box",
-        "_local_read", "_next_write", "_w_batch", "_hb_period", "_hb_pending",
-        "_enq_attempts", "_enq_successes", "_publications",
+        "_publish_every", "_write_box", "_read_box", "_local_read",
+        "_next_write", "_w_batch",
     )
 
-    def __init__(self, shared: _MCRingShared, heartbeat_period: Optional[int] = None):
-        self._shared = shared
-        self._ring = shared.ring
-        self._capacity = shared.capacity
-        self._batch = shared.batch_size
+    def __init__(self, shared: _MCRingShared, config: QueueConfig):
+        super().__init__(shared)
+        batch = shared.batch_size
+        self._publish_every = min(batch, config.mcr_heartbeat_period or batch)
         self._write_box = shared.write
         self._read_box = shared.read
         self._local_read = 0
         self._next_write = 0
-        self._w_batch = 0
-        self._hb_period = heartbeat_period
-        self._hb_pending = 0
-        self._enq_attempts = 0
-        self._enq_successes = 0
-        self._publications = 0
+        self._w_batch = 0  # elements written since the last publication
 
-    def _raw_enqueue(self, item: Any) -> bool:
+    def try_enqueue(self, item: Any) -> bool:
+        self._enq_attempts += 1
         nxt = self._next_write + 1
         if nxt == self._capacity:
             nxt = 0
@@ -660,85 +616,50 @@ class MCRingProducer(ProducerEndpoint):
         self._ring[self._next_write] = item
         self._next_write = nxt
         self._w_batch += 1
-        if self._w_batch >= self._batch:
+        if self._w_batch >= self._publish_every:
             self._write_box.value = nxt  # batched publication
             self._w_batch = 0
             self._publications += 1
-        return True
-
-    def try_enqueue(self, item: Any) -> bool:
-        self._enq_attempts += 1
-        if not self._raw_enqueue(item):
-            return False
         self._enq_successes += 1
-        if self._hb_period is not None:
-            if self._w_batch == 0:
-                self._hb_pending = 0
-            else:
-                self._hb_pending += 1
-                if self._hb_pending >= self._hb_period:
-                    self._inject_heartbeats()
         return True
-
-    def _inject_heartbeats(self) -> None:
-        # Pad the unfinished batch with filler so the publication fires
-        # even when real input stalls. Best effort: stops if the ring
-        # cannot take more.
-        while self._w_batch != 0:
-            if not self._raw_enqueue(_HEARTBEAT):
-                return
-        self._hb_pending = 0
 
     def producer_finish(self) -> None:
         if self._w_batch > 0:
             self._write_box.value = self._next_write  # flush partial batch
             self._w_batch = 0
             self._publications += 1
-        self._shared.producer_done.value = True
+        super().producer_finish()
 
 
 class MCRingConsumer(ConsumerEndpoint):
-    _kind = QueueKind.MCRINGBUFFER
-    __slots__ = (
-        "_shared", "_ring", "_capacity", "_batch", "_write_box", "_read_box",
-        "_local_write", "_next_read", "_r_batch",
-        "_deq_attempts", "_deq_successes", "_publications",
-    )
+    __slots__ = ("_batch", "_write_box", "_read_box", "_local_write", "_next_read", "_r_batch")
 
     def __init__(self, shared: _MCRingShared):
-        self._shared = shared
-        self._ring = shared.ring
-        self._capacity = shared.capacity
+        super().__init__(shared)
         self._batch = shared.batch_size
         self._write_box = shared.write
         self._read_box = shared.read
         self._local_write = 0
         self._next_read = 0
         self._r_batch = 0
-        self._deq_attempts = 0
-        self._deq_successes = 0
-        self._publications = 0
 
     def try_dequeue(self) -> Any:
         self._deq_attempts += 1
-        while True:
-            nxt = self._next_read
+        nxt = self._next_read
+        if nxt == self._local_write:
+            self._local_write = self._write_box.value
             if nxt == self._local_write:
-                self._local_write = self._write_box.value
-                if nxt == self._local_write:
-                    return EMPTY
-            item = self._ring[nxt]
-            nxt += 1
-            self._next_read = 0 if nxt == self._capacity else nxt
-            self._r_batch += 1
-            if self._r_batch >= self._batch:
-                self._read_box.value = self._next_read
-                self._r_batch = 0
-                self._publications += 1
-            if item is _HEARTBEAT:
-                continue  # filler never leaves the queue
-            self._deq_successes += 1
-            return item
+                return EMPTY
+        item = self._ring[nxt]
+        nxt += 1
+        self._next_read = 0 if nxt == self._capacity else nxt
+        self._r_batch += 1
+        if self._r_batch >= self._batch:
+            self._read_box.value = self._next_read
+            self._r_batch = 0
+            self._publications += 1
+        self._deq_successes += 1
+        return item
 
     def finished(self) -> bool:
         if not self._shared.producer_done.value:
@@ -752,6 +673,14 @@ class MCRingConsumer(ConsumerEndpoint):
 # ---------------------------------------------------------------------------
 
 
+_KINDS = {
+    QueueKind.LAMPORT: (_LamportShared, LamportProducer, LamportConsumer),
+    QueueKind.FASTFORWARD: (_FastForwardShared, FastForwardProducer, FastForwardConsumer),
+    QueueKind.BATCHQUEUE: (_BatchQueueShared, BatchQueueProducer, BatchQueueConsumer),
+    QueueKind.MCRINGBUFFER: (_MCRingShared, MCRingProducer, MCRingConsumer),
+}
+
+
 def new_queue(
     kind: QueueKind, config: QueueConfig
 ) -> tuple[ProducerEndpoint, ConsumerEndpoint]:
@@ -763,19 +692,8 @@ def new_queue(
     one guard slot free (capacity-1).
     """
     config.validate(kind)
-    if kind is QueueKind.LAMPORT:
-        shared_l = _LamportShared(config)
-        return LamportProducer(shared_l), LamportConsumer(shared_l)
-    if kind is QueueKind.FASTFORWARD:
-        shared_f = _FastForwardShared(config)
-        return FastForwardProducer(shared_f), FastForwardConsumer(shared_f)
-    if kind is QueueKind.BATCHQUEUE:
-        shared_b = _BatchQueueShared(config)
-        return BatchQueueProducer(shared_b, debug=config.debug), BatchQueueConsumer(shared_b)
-    if kind is QueueKind.MCRINGBUFFER:
-        shared_m = _MCRingShared(config)
-        return (
-            MCRingProducer(shared_m, heartbeat_period=config.mcr_heartbeat_period),
-            MCRingConsumer(shared_m),
-        )
-    raise InvalidConfig(f"unknown queue kind: {kind!r}")
+    if kind not in _KINDS:
+        raise InvalidConfig(f"unknown queue kind: {kind!r}")
+    shared_class, producer_class, consumer_class = _KINDS[kind]
+    shared = shared_class(config)
+    return producer_class(shared, config), consumer_class(shared)

@@ -59,8 +59,8 @@ class TestBounds:
 
 
 def test_unreachable_scripts_rejected():
-    # Batch equal to capacity can never publish without the finish
-    # flush, which the step machines do not model.
+    # Batch equal to capacity can never publish before the finish
+    # flush, and the fair run that sizes the scripts does not finish.
     with pytest.raises(ValueError):
         explore_interleavings(QueueKind.MCRINGBUFFER, 2, 6, mcr_batch=2)
     # More dequeues than the hand-off grain can deliver.

@@ -327,7 +327,7 @@ class TestWaitPolicy:
 class TestHeartbeat:
     def test_heartbeat_forces_publication(self):
         # Two real elements at batch 4 would normally stay invisible;
-        # the heartbeat pads the batch so the consumer can see them.
+        # the heartbeat publishes them once two are unpublished.
         producer, consumer = make(
             QueueKind.MCRINGBUFFER, 8, mcr_batch_size=4, mcr_heartbeat_period=2
         )
@@ -338,8 +338,8 @@ class TestHeartbeat:
         assert consumer.try_dequeue() is EMPTY
 
     def test_heartbeat_elements_never_surface(self):
-        # Aggressive filler injection fills the ring quickly; drain as
-        # needed and check only real elements ever come out.
+        # Period 1 publishes every element; drain as needed and check
+        # that exactly the enqueued elements come out, in order.
         producer, consumer = make(
             QueueKind.MCRINGBUFFER, 8, mcr_batch_size=4, mcr_heartbeat_period=1
         )
@@ -351,7 +351,6 @@ class TestHeartbeat:
             if producer.try_enqueue(sent):
                 sent += 1
                 continue
-            # Discarding filler may itself return EMPTY while freeing room.
             item = consumer.try_dequeue()
             if item is not EMPTY:
                 got.append(item)
@@ -360,11 +359,31 @@ class TestHeartbeat:
         got += consumer.drain()
         assert got == list(range(5))
 
+    def test_heartbeat_publishes_into_a_nearly_full_ring(self):
+        # Period 1 makes each element visible as soon as it is written;
+        # publishing takes no ring slot, however little room is left.
+        producer, consumer = make(
+            QueueKind.MCRINGBUFFER, 4, mcr_batch_size=2, mcr_heartbeat_period=1
+        )
+        assert producer.try_enqueue(1)
+        assert producer.try_enqueue(2)
+        assert [consumer.try_dequeue(), consumer.try_dequeue()] == [1, 2]
+
     def test_disabled_by_default(self):
         producer, consumer = make(QueueKind.MCRINGBUFFER, 8, mcr_batch_size=4)
         producer.try_enqueue("x")
         producer.try_enqueue("y")
         assert consumer.try_dequeue() is EMPTY
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_endpoints_keep_state_in_slots_only(kind):
+    # No instance __dict__: a misspelled attribute raises instead of
+    # adding state the model checker would not save and restore.
+    for endpoint in make(kind, 4):
+        assert not hasattr(endpoint, "__dict__")
+        with pytest.raises(AttributeError):
+            endpoint._misspelled = 0
 
 
 def test_fastforward_indices_are_endpoint_private():
