@@ -2,12 +2,12 @@
 
 Micro mode pushes a fixed element count through one queue with a
 producer and a consumer thread, sweeping queue kind, capacity, and
-element size; pipeline mode times the full aggregation pipeline and
-verifies its output against the sequential oracle before reporting.
-Timing covers the span from releasing the worker threads to the last
-completion; construction and prefill sit outside the clock. Every
-configuration runs ``reps`` times and a mean row is appended per
-configuration.
+element size, and checks every run's log with ``check_fifo``; pipeline
+mode times the full aggregation pipeline and verifies its output
+against the sequential oracle before reporting. Timing covers the span
+from releasing the worker threads to the last completion; construction
+and prefill sit outside the clock. Every configuration runs ``reps``
+times and a mean row is appended per configuration.
 
 Energy measurement is delegated to an external command (invoked with
 ``start`` before each run, set-up included, and ``stop`` after it; the
@@ -27,9 +27,9 @@ import subprocess
 import threading
 import time
 from array import array
-from dataclasses import dataclass, field
-from io import StringIO
-from typing import Any, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Any, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 from .aggregation import WindowSpec
 from .oracle import OpLog, check_fifo, oracle_aggregate
@@ -41,11 +41,6 @@ log = logging.getLogger(__name__)
 #: Base payload footprint of a (timestamp, value) element; element-size
 #: sweeps pad beyond this with inert bytes carried through the queue.
 BASE_ELEMENT_BYTES = 12
-
-CSV_HEADER = (
-    "kind,capacity,element_size,tuples,producers,aggregators,rep,"
-    "elapsed_ms,ops,throughput_ops_per_ms,joules,joules_per_message"
-)
 
 _KIND_ALIASES = {
     "lamport": QueueKind.LAMPORT,
@@ -66,7 +61,8 @@ def parse_kind(name: str) -> QueueKind:
 
 
 class OracleMismatch(RuntimeError):
-    """A pipeline benchmark run disagreed with the sequential oracle."""
+    """A benchmark run failed its trusted check: the sequential oracle for
+    a pipeline run, check_fifo for a micro run."""
 
 
 class ProbeFailure(RuntimeError):
@@ -112,6 +108,9 @@ class BenchConfig:
                 )
         if self.mode == "pipeline" and self.producers > self.aggregators:
             raise InvalidConfig("more producers than aggregators")
+        for kind in self.kinds:
+            for capacity in self.capacities:
+                QueueConfig(capacity, mcr_batch_size=self.mcr_batch).validate(kind)
 
 
 @dataclass
@@ -131,7 +130,7 @@ class ReportRow:
 
     @classmethod
     def measured(
-        cls, *, elapsed_ms: float, ops: int, joules: Optional[float], **fields: Any
+        cls, *, elapsed_ms: float, ops: int, joules: Optional[float], **columns: Any
     ) -> "ReportRow":
         """A row whose throughput and energy per message are derived
         from ``ops``, ``elapsed_ms`` and ``joules``."""
@@ -141,64 +140,38 @@ class ReportRow:
             throughput_ops_per_ms=ops / elapsed_ms if elapsed_ms > 0 else 0.0,
             joules=joules,
             joules_per_message=joules / ops if joules is not None and ops else None,
-            **fields,
+            **columns,
         )
 
     def to_csv(self) -> str:
-        def opt(v) -> str:
-            return "" if v is None else str(v)
-
-        return ",".join(
-            [
-                self.kind,
-                str(self.capacity),
-                opt(self.element_size),
-                str(self.tuples),
-                str(self.producers),
-                opt(self.aggregators),
-                self.rep,
-                str(self.elapsed_ms),
-                str(self.ops),
-                str(self.throughput_ops_per_ms),
-                opt(self.joules),
-                opt(self.joules_per_message),
-            ]
-        )
+        values = (getattr(self, name) for name, _ in _COLUMNS)
+        return ",".join("" if value is None else str(value) for value in values)
 
     @classmethod
     def from_csv(cls, line: str) -> "ReportRow":
         parts = line.rstrip("\n").split(",")
-        if len(parts) != 12:
-            raise ValueError(f"expected 12 fields, got {len(parts)}")
+        if len(parts) != len(_COLUMNS):
+            raise ValueError(f"expected {len(_COLUMNS)} fields, got {len(parts)}")
+        return cls(**{name: parse(s) for (name, parse), s in zip(_COLUMNS, parts)})
 
-        def opt_int(s: str) -> Optional[int]:
-            return int(s) if s else None
 
-        def opt_float(s: str) -> Optional[float]:
-            return float(s) if s else None
+def _column_parser(annotation: Any):
+    """Text to field value; an ``Optional`` column reads "" as None."""
+    present = [t for t in get_args(annotation) if t is not type(None)]
+    if not present:
+        return annotation
+    return lambda s: present[0](s) if s else None
 
-        return cls(
-            kind=parts[0],
-            capacity=int(parts[1]),
-            element_size=opt_int(parts[2]),
-            tuples=int(parts[3]),
-            producers=int(parts[4]),
-            aggregators=opt_int(parts[5]),
-            rep=parts[6],
-            elapsed_ms=float(parts[7]),
-            ops=int(parts[8]),
-            throughput_ops_per_ms=float(parts[9]),
-            joules=opt_float(parts[10]),
-            joules_per_message=opt_float(parts[11]),
-        )
+
+_COLUMNS = [
+    (f.name, _column_parser(get_type_hints(ReportRow)[f.name]))
+    for f in fields(ReportRow)
+]
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def rows_to_csv(rows: Sequence[ReportRow]) -> str:
-    out = StringIO()
-    out.write(CSV_HEADER + "\n")
-    for row in rows:
-        out.write(row.to_csv() + "\n")
-    return out.getvalue()
+    return "".join(line + "\n" for line in [CSV_HEADER] + [r.to_csv() for r in rows])
 
 
 def rows_from_csv(text: str) -> List[ReportRow]:
@@ -293,117 +266,37 @@ class EnergyProbe:
 
 
 # ---------------------------------------------------------------------------
-# FIFO stress harness (shared by tests and the acceptance suite)
+# Two-thread handoff (the micro benchmark and the FIFO stress runs)
 
 
-def fifo_stress_run(
-    kind: QueueKind, capacity: int, count: int, config: Optional[QueueConfig] = None
-) -> OpLog:
-    """Push ``count`` sequence-numbered elements through a two-thread run.
+def _handoff(
+    kind: QueueKind, qconfig: QueueConfig, count: int, prefill: int = 0, pad_len: int = 0
+) -> Tuple[float, OpLog]:
+    """Push elements ``(seq, bytes(pad_len))`` through one queue with a
+    producer and a consumer thread; return ``(elapsed_s, log)``.
 
-    Returns a complete OpLog (the producer finishes, the consumer drains
-    fully) ready for check_fifo plus a multiset comparison.
+    The first ``prefill`` elements go in before the clock starts, the
+    next ``count`` while it runs. The clock spans releasing both threads
+    to joining them. The consumer always drains until the queue is
+    finished() and records each ``seq``, so the log is complete: a lost,
+    duplicated or reordered element shows up in check_fifo, never as a
+    producer stuck on a full ring.
     """
-    qconfig = config or QueueConfig(capacity=capacity)
     producer, consumer = new_queue(kind, qconfig)
-    dequeued = array("q")
-
-    # Both loops try inline and fall back to the spin wrappers only on a
-    # miss, so the wait policy costs nothing on the success path.
-    def produce():
-        enq = producer.try_enqueue
-        for seq in range(count):
-            if not enq(seq):
-                producer.enqueue_spin(seq)
-        producer.producer_finish()
-
-    def consume():
-        deq = consumer.try_dequeue
-        got = dequeued.append
-        while True:
-            item = deq()
-            if item is EMPTY:
-                item = consumer.dequeue_spin()
-                if item is EMPTY:
-                    return
-            got(item)
-
-    tp = threading.Thread(target=produce, name="stress-producer")
-    tc = threading.Thread(target=consume, name="stress-consumer")
-    tp.start()
-    tc.start()
-    tp.join()
-    tc.join()
-    return OpLog(enqueued=range(count), dequeued=dequeued, complete=True)
-
-
-def fifo_stress_verify(
-    kind: QueueKind,
-    capacity: int,
-    count: int,
-    pin_cpu: Optional[int] = None,
-) -> Tuple[float, Optional[str]]:
-    """Run a stress round and verify it in place.
-
-    Returns (elapsed_seconds, None) on success or (elapsed, reason).
-    Designed for worker pools: verification happens here so only a
-    small result crosses the process boundary. Pinning both stress
-    threads to one CPU shortens the wake-up path at tiny capacities.
-    """
-    if pin_cpu is not None:
-        try:
-            os.sched_setaffinity(0, {pin_cpu})
-        except (OSError, AttributeError):
-            pass
-    t0 = time.perf_counter()
-    log = fifo_stress_run(kind, capacity, count)
-    elapsed = time.perf_counter() - t0
-    violation = check_fifo(log)
-    if violation is not None:
-        return elapsed, f"{kind.value}@{capacity}: {violation}"
-    if sorted(log.dequeued) != list(range(count)):
-        return elapsed, f"{kind.value}@{capacity}: terminal multiset mismatch"
-    return elapsed, None
-
-
-# ---------------------------------------------------------------------------
-# Micro benchmark
-
-
-def default_prefill(kind: QueueKind, capacity: int) -> int:
-    """Ring pre-population giving the producer a head start: half the
-    ring at the 128 reference size, 150 elements otherwise, clamped to
-    what the kind can hold."""
-    usable = capacity if kind is QueueKind.BATCHQUEUE else capacity - 1
-    target = capacity // 2 if capacity == 128 else 150
-    return min(target, usable)
-
-
-def _run_micro_once(
-    kind: QueueKind,
-    capacity: int,
-    element_size: int,
-    count: int,
-    prefill: int,
-    mcr_batch: int,
-) -> float:
-    """One timed producer/consumer run; returns elapsed seconds."""
-    qconfig = QueueConfig(capacity=capacity, mcr_batch_size=mcr_batch)
-    producer, consumer = new_queue(kind, qconfig)
-    # Padding is allocated per element inside the timed loop; carrying
-    # it through the queue is what the element-size sweep measures.
-    pad_len = element_size - BASE_ELEMENT_BYTES
-
     for seq in range(prefill):
         if not producer.try_enqueue((seq, bytes(pad_len))):
             raise InvalidConfig(
-                f"prefill {prefill} does not fit a {kind.value} ring of {capacity}"
+                f"prefill {prefill} does not fit a {kind.value} ring of "
+                f"{qconfig.capacity}"
             )
-
     total = prefill + count
+    dequeued = array("q")
     start = threading.Event()
-    consumer_error: List[str] = []
 
+    # Both loops try inline and fall back to the spin wrappers only on a
+    # miss, so the wait policy costs nothing on the success path. The
+    # padding is allocated per element inside the clock: carrying it
+    # through the queue is what the element-size sweep measures.
     def produce():
         start.wait()
         enq = producer.try_enqueue
@@ -416,36 +309,78 @@ def _run_micro_once(
     def consume():
         start.wait()
         deq = consumer.try_dequeue
-        expected = 0
+        got = dequeued.append
         while True:
             item = deq()
             if item is EMPTY:
                 item = consumer.dequeue_spin()
                 if item is EMPTY:
-                    if expected != total:
-                        consumer_error.append(
-                            f"drained {expected} of {total} elements"
-                        )
                     return
-            if item[0] != expected:  # inline FIFO verification
-                consumer_error.append(
-                    f"sequence break: expected {expected}, got {item[0]}"
-                )
-                return
-            expected += 1
+            got(item[0])
 
-    tp = threading.Thread(target=produce, name="micro-producer")
-    tc = threading.Thread(target=consume, name="micro-consumer")
-    tp.start()
-    tc.start()
+    threads = [
+        threading.Thread(target=produce, name="handoff-producer"),
+        threading.Thread(target=consume, name="handoff-consumer"),
+    ]
+    for thread in threads:
+        thread.start()
     t0 = time.perf_counter()
     start.set()
-    tp.join()
-    tc.join()
+    for thread in threads:
+        thread.join()
     elapsed = time.perf_counter() - t0
-    if consumer_error:
-        raise OracleMismatch(f"micro run failed FIFO check: {consumer_error[0]}")
-    return elapsed
+    return elapsed, OpLog(enqueued=range(total), dequeued=dequeued, complete=True)
+
+
+def fifo_stress_run(
+    kind: QueueKind, capacity: int, count: int, config: Optional[QueueConfig] = None
+) -> OpLog:
+    """Push ``count`` sequence-numbered elements through a two-thread run.
+
+    Returns a complete OpLog (the producer finishes, the consumer drains
+    fully) ready for check_fifo plus a multiset comparison.
+    """
+    return _handoff(kind, config or QueueConfig(capacity=capacity), count)[1]
+
+
+def fifo_stress_verify(
+    kind: QueueKind,
+    capacity: int,
+    count: int,
+    pin_cpu: Optional[int] = None,
+) -> Tuple[float, Optional[str]]:
+    """Run a stress round and verify it in place.
+
+    Returns (elapsed_seconds, None) on success or (elapsed, reason).
+    Designed for worker pools: verification happens here so only a
+    small result crosses the process boundary. ``pin_cpu`` pins the
+    calling process to that CPU.
+    """
+    if pin_cpu is not None:
+        try:
+            os.sched_setaffinity(0, {pin_cpu})
+        except (OSError, AttributeError):
+            pass
+    elapsed, log = _handoff(kind, QueueConfig(capacity=capacity), count)
+    violation = check_fifo(log)
+    if violation is not None:
+        return elapsed, f"{kind.value}@{capacity}: {violation}"
+    if sorted(log.dequeued) != list(range(count)):
+        return elapsed, f"{kind.value}@{capacity}: terminal multiset mismatch"
+    return elapsed, None
+
+
+# ---------------------------------------------------------------------------
+# Sweeps
+
+
+def default_prefill(kind: QueueKind, capacity: int) -> int:
+    """Ring pre-population giving the producer a head start: half the
+    ring at the 128 reference size, 150 elements otherwise, clamped to
+    what the kind can hold."""
+    usable = capacity if kind is QueueKind.BATCHQUEUE else capacity - 1
+    target = capacity // 2 if capacity == 128 else 150
+    return min(target, usable)
 
 
 def _with_energy(config: BenchConfig, fn, *args):
@@ -478,132 +413,130 @@ def _probe_failed(config: BenchConfig, exc: ProbeFailure) -> None:
     log.warning("energy probe failed, row kept: %s", exc)
 
 
-def _summarize(rows: List[ReportRow]) -> ReportRow:
-    """Mean row over one configuration's repetitions; the throughput is
-    recomputed from the mean elapsed so the ops/elapsed identity holds."""
-    first = rows[0]
-    joules = [r.joules for r in rows if r.joules is not None]
-    return ReportRow.measured(
-        kind=first.kind,
-        capacity=first.capacity,
-        element_size=first.element_size,
-        tuples=first.tuples,
-        producers=first.producers,
-        aggregators=first.aggregators,
-        rep="mean",
-        elapsed_ms=sum(r.elapsed_ms for r in rows) / len(rows),
-        ops=first.ops,
-        joules=sum(joules) / len(joules) if joules else None,
+def _sweep(config: BenchConfig, cells) -> List[ReportRow]:
+    """Validate ``config``, then measure every cell.
+
+    ``cells`` yields ``(cell, measure)``: the row's identifying columns
+    and ``measure(rep) -> (elapsed_s, ops, joules)``. Each cell runs
+    ``warmup + reps`` times; the kept rows are followed by a mean row
+    whose throughput is recomputed from the mean elapsed, so the
+    ops/elapsed identity holds.
+    """
+    config.validate()
+    rows: List[ReportRow] = []
+    for cell, measure in cells:
+        runs = [measure(rep) for rep in range(config.warmup + config.reps)]
+        kept = [
+            ReportRow.measured(
+                rep=str(i), elapsed_ms=elapsed_s * 1000.0, ops=ops, joules=joules, **cell
+            )
+            for i, (elapsed_s, ops, joules) in enumerate(runs[config.warmup:])
+        ]
+        joules = [r.joules for r in kept if r.joules is not None]
+        rows += kept
+        rows.append(
+            ReportRow.measured(
+                rep="mean",
+                elapsed_ms=sum(r.elapsed_ms for r in kept) / len(kept),
+                ops=kept[0].ops,
+                joules=sum(joules) / len(joules) if joules else None,
+                **cell,
+            )
+        )
+    return rows
+
+
+def _micro_rep(
+    config: BenchConfig,
+    kind: QueueKind,
+    qconfig: QueueConfig,
+    prefill: int,
+    pad_len: int,
+    rep: int,
+) -> Tuple[float, int, Optional[float]]:
+    (elapsed, oplog), joules = _with_energy(
+        config, _handoff, kind, qconfig, config.tuples, prefill, pad_len
     )
+    violation = check_fifo(oplog)
+    if violation is not None:
+        raise OracleMismatch(
+            f"micro run failed FIFO check: {kind.value}@{qconfig.capacity} "
+            f"rep {rep}: {violation}"
+        )
+    return elapsed, config.tuples, joules
 
 
 def run_micro(config: BenchConfig) -> List[ReportRow]:
     """Sweep (kind, capacity, element size) and report ops per ms.
 
-    One op is an enqueue/dequeue pair. Probe failures downgrade the row
-    to joules-absent with a warning unless strict_energy is set.
+    One op is an enqueue/dequeue pair. Every run is checked with
+    check_fifo after the clock and outside the energy bracket; a
+    violation raises OracleMismatch. Probe failures downgrade the row to
+    joules-absent with a warning unless strict_energy is set.
     """
-    config.validate()
-    rows: List[ReportRow] = []
-    for kind in config.kinds:
-        for capacity in config.capacities:
-            if kind is QueueKind.BATCHQUEUE and capacity % 2 != 0:
-                raise InvalidConfig(
-                    f"BatchQueue cannot run at odd capacity {capacity}"
+    def cells():
+        for kind in config.kinds:
+            for capacity in config.capacities:
+                qconfig = QueueConfig(capacity, mcr_batch_size=config.mcr_batch)
+                prefill = (
+                    config.prefill
+                    if config.prefill is not None
+                    else default_prefill(kind, capacity)
                 )
-            prefill = (
-                config.prefill
-                if config.prefill is not None
-                else default_prefill(kind, capacity)
+                for size in config.element_sizes:
+                    yield dict(
+                        kind=kind.value, capacity=capacity, element_size=size,
+                        tuples=config.tuples, producers=1, aggregators=None,
+                    ), partial(
+                        _micro_rep, config, kind, qconfig, prefill,
+                        size - BASE_ELEMENT_BYTES,
+                    )
+
+    return _sweep(config, cells())
+
+
+def _pipeline_rep(
+    config: BenchConfig, kind: QueueKind, qconfig: QueueConfig, rep: int
+) -> Tuple[float, int, Optional[float]]:
+    workloads = split_workload(config.tuples, config.producers, config.seed + rep)
+    pconfig = PipelineConfig(
+        producers=config.producers,
+        aggregators=config.aggregators,
+        queue_kind=kind,
+        queue_config=qconfig,
+        spec=config.window,
+        workloads=workloads,
+    )
+    (totals, metrics), joules = _with_energy(config, run_pipeline, pconfig)
+    if config.verify:
+        merged = sorted((t for w in workloads for t in w), key=lambda t: t[0])
+        expected = oracle_aggregate(merged, config.window)
+        if totals != expected:
+            raise OracleMismatch(
+                f"{kind.value} capacity {qconfig.capacity} rep {rep}: "
+                f"pipeline produced {totals!r} but the oracle says {expected!r}"
             )
-            for element_size in config.element_sizes:
-                rep_rows: List[ReportRow] = []
-                for rep in range(config.warmup + config.reps):
-                    elapsed, joules = _with_energy(
-                        config, _run_micro_once, kind, capacity, element_size,
-                        config.tuples, prefill, config.mcr_batch,
-                    )
-                    if rep < config.warmup:
-                        continue
-                    rep_rows.append(
-                        ReportRow.measured(
-                            kind=kind.value,
-                            capacity=capacity,
-                            element_size=element_size,
-                            tuples=config.tuples,
-                            producers=1,
-                            aggregators=None,
-                            rep=str(rep - config.warmup),
-                            elapsed_ms=elapsed * 1000.0,
-                            ops=config.tuples,
-                            joules=joules,
-                        )
-                    )
-                rows.extend(rep_rows)
-                rows.append(_summarize(rep_rows))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Pipeline benchmark
+    return metrics.elapsed_s, metrics.messages, joules
 
 
 def run_pipeline_bench(config: BenchConfig) -> List[ReportRow]:
     """Benchmark the aggregation pipeline across kinds and capacities.
 
-    Every repetition is checked against the sequential oracle before it
-    may contribute a row; a mismatch aborts with both maps attached.
+    Every repetition, warmups included, is checked against the
+    sequential oracle outside the energy bracket before it may
+    contribute a row; a mismatch aborts with both maps attached.
     """
-    config.validate()
-    rows: List[ReportRow] = []
-    for kind in config.kinds:
-        for capacity in config.capacities:
-            rep_rows: List[ReportRow] = []
-            for rep in range(config.warmup + config.reps):
-                workloads = split_workload(
-                    config.tuples, config.producers, config.seed + rep
-                )
-                pconfig = PipelineConfig(
-                    producers=config.producers,
+    def cells():
+        for kind in config.kinds:
+            for capacity in config.capacities:
+                qconfig = QueueConfig(capacity, mcr_batch_size=config.mcr_batch)
+                yield dict(
+                    kind=kind.value, capacity=capacity, element_size=None,
+                    tuples=config.tuples, producers=config.producers,
                     aggregators=config.aggregators,
-                    queue_kind=kind,
-                    queue_config=QueueConfig(
-                        capacity=capacity, mcr_batch_size=config.mcr_batch
-                    ),
-                    spec=config.window,
-                    workloads=workloads,
-                )
-                (totals, metrics), joules = _with_energy(config, run_pipeline, pconfig)
-                if config.verify:
-                    merged = sorted(
-                        (t for w in workloads for t in w), key=lambda t: t[0]
-                    )
-                    expected = oracle_aggregate(merged, config.window)
-                    if totals != expected:
-                        raise OracleMismatch(
-                            f"{kind.value} capacity {capacity} rep {rep}: "
-                            f"pipeline produced {totals!r} but the oracle "
-                            f"says {expected!r}"
-                        )
-                if rep < config.warmup:
-                    continue
-                rep_rows.append(
-                    ReportRow.measured(
-                        kind=kind.value,
-                        capacity=capacity,
-                        element_size=None,
-                        tuples=config.tuples,
-                        producers=config.producers,
-                        aggregators=config.aggregators,
-                        rep=str(rep - config.warmup),
-                        elapsed_ms=metrics.elapsed_s * 1000.0,
-                        ops=metrics.messages,
-                        joules=joules,
-                    )
-                )
-            rows.extend(rep_rows)
-            rows.append(_summarize(rep_rows))
-    return rows
+                ), partial(_pipeline_rep, config, kind, qconfig)
+
+    return _sweep(config, cells())
 
 
 def run_bench(config: BenchConfig) -> List[ReportRow]:

@@ -1,6 +1,7 @@
 """Benchmark command line.
 
-Exit codes: 0 success, 2 configuration error, 3 oracle mismatch,
+Exit codes: 0 success, 2 configuration error, 3 oracle mismatch (a
+pipeline run against the oracle, a micro run against check_fifo),
 4 probe failure under --strict-energy.
 """
 
@@ -30,6 +31,7 @@ EXIT_PROBE = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
+    d = BenchConfig(mode="micro")  # the flag defaults; none depends on the mode
     parser = argparse.ArgumentParser(
         prog="streamq-bench",
         description=(
@@ -45,47 +47,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--capacity", action="append", type=int, metavar="N",
-        help="queue capacity in elements; repeatable, default 128",
+        help=f"queue capacity in elements; repeatable, default {d.capacities}",
     )
     parser.add_argument(
         "--element-size", action="append", type=int, metavar="BYTES",
-        help="element footprint for micro mode; repeatable, default 12",
+        help="element footprint for micro mode; repeatable, "
+        f"default {d.element_sizes}",
     )
-    parser.add_argument("--tuples", type=int, default=100_000)
-    parser.add_argument("--producers", type=int, default=1)
-    parser.add_argument("--aggregators", type=int, default=10)
-    parser.add_argument("--window-size", type=int, default=4)
-    parser.add_argument("--window-advance", type=int, default=2)
+    parser.add_argument("--tuples", type=int, default=d.tuples)
+    parser.add_argument("--producers", type=int, default=d.producers)
+    parser.add_argument("--aggregators", type=int, default=d.aggregators)
+    parser.add_argument("--window-size", type=int, default=d.window.size)
+    parser.add_argument("--window-advance", type=int, default=d.window.advance)
     parser.add_argument(
-        "--prefill", type=int, default=None,
+        "--prefill", type=int, default=d.prefill,
         help="elements preloaded before the micro clock starts "
         "(default: 64 at capacity 128, otherwise 150, clamped)",
     )
-    parser.add_argument("--reps", type=int, default=5)
+    parser.add_argument("--reps", type=int, default=d.reps)
     parser.add_argument(
-        "--warmup", type=int, default=0,
+        "--warmup", type=int, default=d.warmup,
         help="extra leading repetitions discarded from the report",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=d.seed)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", metavar="FILE", default=None)
     parser.add_argument(
-        "--energy-cmd", metavar="CMD", default=None,
+        "--energy-cmd", metavar="CMD", default=d.energy_cmd,
         help="external probe; run with 'start' before and 'stop' after the "
         "measured run, joules parsed from the stop output",
     )
     parser.add_argument("--strict-energy", action="store_true")
-    parser.add_argument("--mcr-batch", type=int, default=1)
-    parser.add_argument("--verify", choices=("on", "off"), default="on")
+    parser.add_argument("--mcr-batch", type=int, default=d.mcr_batch)
+    parser.add_argument(
+        "--verify", choices=("on", "off"), default="on" if d.verify else "off"
+    )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> BenchConfig:
-    kinds = [parse_kind(k) for k in args.kind] if args.kind else None
     config = BenchConfig(
         mode=args.mode,
-        capacities=args.capacity or [128],
-        element_sizes=args.element_size or [12],
         tuples=args.tuples,
         producers=args.producers,
         aggregators=args.aggregators,
@@ -99,8 +101,13 @@ def config_from_args(args: argparse.Namespace) -> BenchConfig:
         energy_cmd=args.energy_cmd,
         strict_energy=args.strict_energy,
     )
-    if kinds is not None:
-        config.kinds = kinds
+    # Repeatable flags default to None: argparse would append to a list.
+    if args.kind:
+        config.kinds = [parse_kind(k) for k in args.kind]
+    if args.capacity:
+        config.capacities = args.capacity
+    if args.element_size:
+        config.element_sizes = args.element_size
     return config
 
 

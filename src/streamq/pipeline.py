@@ -141,7 +141,6 @@ def _run_aggregator(
     start.wait()
     agg = WindowAggregator(spec, source=source)
     send = out.enqueue_spin
-    partials_sent = 0
     wait = Waiter(abort=abort)
     while True:
         item = inp.try_dequeue()
@@ -153,13 +152,11 @@ def _run_aggregator(
         wait.misses = 0
         for partial in agg.update(item[0], item[1]):
             send(partial, abort=abort)
-            partials_sent += 1
     for partial in agg.finalize():
         send(partial, abort=abort)
-        partials_sent += 1
     send(SourceDone(source), abort=abort)
     out.producer_finish()
-    counters[source] = partials_sent
+    counters[source] = agg.emitted_count
 
 
 def _run_final(

@@ -2,10 +2,12 @@
 
 import json
 import stat
+import threading
 from pathlib import Path
 
 import pytest
 
+import streamq.bench
 from streamq import QueueKind, WindowSpec, oracle_aggregate
 from streamq.bench import (
     BASE_ELEMENT_BYTES,
@@ -13,6 +15,7 @@ from streamq.bench import (
     CSV_HEADER,
     EnergyProbe,
     InvalidConfig,
+    OracleMismatch,
     ProbeFailure,
     ReportRow,
     default_prefill,
@@ -176,6 +179,45 @@ class TestRunMicro:
         cfg = BenchConfig(mode="micro", element_sizes=[8], tuples=10)
         with pytest.raises(InvalidConfig):
             run_micro(cfg)
+
+    @pytest.mark.parametrize("kind", list(QueueKind))
+    def test_lost_element_raises_instead_of_hanging(self, monkeypatch, kind):
+        class DroppingProducer:
+            """A producer that reports sequence 1000 as enqueued but loses it."""
+
+            def __init__(self, inner):
+                self._inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def try_enqueue(self, item):
+                return item[0] == 1_000 or self._inner.try_enqueue(item)
+
+        real_new_queue = streamq.bench.new_queue
+
+        def dropping_new_queue(kind, config):
+            producer, consumer = real_new_queue(kind, config)
+            return DroppingProducer(producer), consumer
+
+        monkeypatch.setattr(streamq.bench, "new_queue", dropping_new_queue)
+        cfg = BenchConfig(
+            mode="micro", kinds=[kind], capacities=[16], tuples=5_000, reps=1,
+        )
+        outcome = []
+
+        def run():
+            try:
+                run_micro(cfg)
+            except Exception as exc:
+                outcome.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=10.0)
+        assert not runner.is_alive(), "a lost element left run_micro waiting"
+        assert len(outcome) == 1 and type(outcome[0]) is OracleMismatch, outcome
+        assert "expected sequence 1000, got 1001" in str(outcome[0])
 
 
 class TestRunPipelineBench:

@@ -3,9 +3,19 @@
 import json
 import stat
 
+import pytest
+
 import streamq.bench
-from streamq.bench import rows_from_csv
-from streamq.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, EXIT_PROBE, main
+from streamq.bench import BenchConfig, rows_from_csv
+from streamq.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_ORACLE,
+    EXIT_PROBE,
+    build_parser,
+    config_from_args,
+    main,
+)
 from streamq.pipeline import RunMetrics
 
 
@@ -75,6 +85,21 @@ class TestExitCodes:
         ])
         assert code == EXIT_CONFIG
 
+    def test_config_error_exits_before_any_run_or_probe_call(self, tmp_path, capsys):
+        # Capacity 64 is valid for a batch of 4 and capacity 6 is not; the
+        # error must surface before the capacity-64 runs, probe included.
+        calls = tmp_path / "calls.log"
+        probe = tmp_path / "probe.sh"
+        probe.write_text(f'#!/bin/sh\necho "$1" >> "{calls}"\necho 1.0\n')
+        probe.chmod(probe.stat().st_mode | stat.S_IEXEC)
+        code = main([
+            "--mode", "micro", "--kind", "mcr", "--mcr-batch", "4",
+            "--capacity", "64", "--capacity", "6", "--energy-cmd", str(probe),
+        ])
+        assert code == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not calls.exists(), calls.read_text()
+
     def test_wrong_pipeline_output_is_oracle_mismatch(self, monkeypatch, capsys):
         def broken_pipeline(config):
             return {999: 1}, RunMetrics(elapsed_s=0.001, tuples=50, partials=0)
@@ -109,6 +134,12 @@ class TestExitCodes:
         assert code == EXIT_OK
         rows = rows_from_csv(capsys.readouterr().out)
         assert all(r.joules is None for r in rows)
+
+
+@pytest.mark.parametrize("mode", ["micro", "pipeline"])
+def test_flag_defaults_are_the_config_defaults(mode):
+    args = build_parser().parse_args(["--mode", mode])
+    assert config_from_args(args) == BenchConfig(mode=mode)
 
 
 def test_verify_off_still_runs(tmp_path):
