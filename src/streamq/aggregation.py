@@ -4,18 +4,26 @@ Stream elements are plain ``(timestamp, value)`` pairs with integer,
 non-negative timestamps. Time is split into half-open windows
 ``[k*advance, k*advance + size)`` starting at every non-negative
 multiple of the advance. A stage-2 ``WindowAggregator`` consumes one
-sorted stream, keeps a running sum per open window, and emits a window
-once its end has passed the watermark. A ``FinalAggregator`` merges the
-per-source partial sums, tracking which sources contributed to each
-window and which sources are still active, and releases every window
-exactly once as soon as no active source can still report it.
+sorted stream, sums it into panes of width ``gcd(size, advance)`` and
+emits each window that holds a tuple once its end has passed the
+watermark, from one running sum over the window's panes. A
+``FinalAggregator`` merges the per-source partial sums, tracking which
+sources contributed to each window and which sources are still active,
+and releases every window exactly once as soon as no active source can
+still report it.
+
+``window_starts`` lists the windows of one timestamp directly. The
+aggregators do not use it; it is the route of ``oracle_aggregate``, the
+independent slow check the pipeline is compared against.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
+from math import gcd, inf
+from typing import Deque, Dict, Iterable, List, NamedTuple, Set, Tuple
 
 
 class OutOfOrderTuple(ValueError):
@@ -77,6 +85,19 @@ def window_starts(t: int, spec: WindowSpec) -> List[int]:
 class WindowAggregator:
     """Stage-2 aggregator: windowed sums over one sorted input stream.
 
+    Time is cut into panes of width ``g = gcd(size, advance)``, so a
+    window is ``size/g`` whole panes and windows start every
+    ``advance/g`` panes. The aggregator keeps the non-empty panes it
+    still needs, ascending, each as ``[pane, sum]``, and one running sum
+    over the leading panes that lie in the next window to emit. Sums are
+    invertible, so moving to the next window adds each pane once and
+    evicts it once: per-tuple work does not grow with ``size/advance``.
+
+    A pane exists only once a tuple lands in it, so a window is emitted
+    iff it holds a pane, that is a tuple; its sum never decides, since
+    values may be 0 or negative. Across a gap the aggregator jumps to
+    the first window that holds its oldest pane.
+
     ``update`` feeds one tuple and returns the windows that expired as a
     result, oldest first; ``finalize`` flushes whatever is still open
     once the input is exhausted.
@@ -85,34 +106,76 @@ class WindowAggregator:
     def __init__(self, spec: WindowSpec, source: int = 0):
         self.spec = spec
         self.source = source
-        self.open_windows: Dict[int, int] = {}
         self.watermark = -1
         self.emitted_count = 0
+        g = gcd(spec.size, spec.advance)
+        self._pane_width = g
+        self._stride = spec.advance // g  # panes from one window start to the next
+        self._span = spec.size // g  # panes per window
+        self._panes: Deque[list] = deque()
+        self._reset()
+
+    def _reset(self) -> None:
+        self._panes.clear()
+        self._next = 0  # index of the next window to emit
+        self._due = self.spec.size  # that window's end: a tuple there expires it
+        self._held = 0  # leading panes inside the running sum
+        self._sum = 0
 
     def update(self, timestamp: int, value: int) -> List[WindowPartial]:
         if timestamp < self.watermark:
             raise OutOfOrderTuple(
                 f"timestamp {timestamp} below watermark {self.watermark}"
             )
-        open_windows = self.open_windows
-        for s in window_starts(timestamp, self.spec):
-            open_windows[s] = open_windows.get(s, 0) + value
+        if timestamp < 0:
+            raise ValueError(f"timestamp must be non-negative, got {timestamp}")
         self.watermark = timestamp
-        horizon = timestamp - self.spec.size
-        expired = [s for s in open_windows if s <= horizon]
-        if not expired:
+        pane = timestamp // self._pane_width
+        panes = self._panes
+        if panes and panes[-1][0] == pane:
+            panes[-1][1] += value
+        else:
+            panes.append([pane, value])
+        if timestamp < self._due:
             return []
-        expired.sort()
-        out = [WindowPartial(s, open_windows.pop(s), self.source) for s in expired]
-        self.emitted_count += len(out)
-        return out
+        spec = self.spec
+        return self._emit((timestamp - spec.size) // spec.advance)
 
     def finalize(self) -> List[WindowPartial]:
-        out = [
-            WindowPartial(s, total, self.source)
-            for s, total in sorted(self.open_windows.items())
-        ]
-        self.open_windows.clear()
+        if not self._panes:
+            return []
+        out = self._emit(self._panes[-1][0] // self._stride)
+        self._reset()
+        return out
+
+    def _emit(self, last: int) -> List[WindowPartial]:
+        """The non-empty windows from the next one up to ``last``,
+        ascending. Their panes are complete: any later tuple lands in a
+        later pane."""
+        panes, stride, span = self._panes, self._stride, self._span
+        k, held, total = self._next, self._held, self._sum
+        out = []
+        while k <= last:
+            lo = k * stride
+            while held and panes[0][0] < lo:
+                total -= panes.popleft()[1]
+                held -= 1
+            if not held:
+                first = (panes[0][0] - span) // stride + 1
+                if first > k:
+                    k = first
+                    if k > last:
+                        break
+                    lo = k * stride
+            hi = lo + span
+            n = len(panes)
+            while held < n and panes[held][0] < hi:
+                total += panes[held][1]
+                held += 1
+            out.append(WindowPartial(k * self.spec.advance, total, self.source))
+            k += 1
+        self._next, self._held, self._sum = k, held, total
+        self._due = k * self.spec.advance + self.spec.size
         self.emitted_count += len(out)
         return out
 
@@ -125,6 +188,11 @@ class FinalAggregator:
     (sources emit in ascending start order, so a later report implies
     the earlier window is complete for that source). Each window is
     released at most once; windows nobody contributed to never appear.
+
+    The release floor, the lowest watermark of an active source, is
+    cached with the number of active sources at it. It is recomputed
+    only when the last of those advances or a source goes inactive, and
+    it is infinite once no source is active.
     """
 
     def __init__(self, spec: WindowSpec, sources: Iterable[int]):
@@ -134,6 +202,7 @@ class FinalAggregator:
         self.active: Dict[int, bool] = {s: True for s in self.source_watermarks}
         self.reported: Set[int] = set()
         self._pending_heap: List[int] = []
+        self._set_floor()
 
     def accept(self, partial: WindowPartial) -> List[Tuple[int, int]]:
         start, total, source = partial
@@ -156,9 +225,17 @@ class FinalAggregator:
                 )
             entry[0] += total
             entry[1].add(source)
-        end = start + self.spec.size
-        if end > self.source_watermarks[source]:
+        size = self.spec.size
+        end = start + size
+        old = self.source_watermarks[source]
+        if end > old:
             self.source_watermarks[source] = end
+            if old == self._floor:
+                self._at_floor -= 1
+                if not self._at_floor:
+                    self._set_floor()
+        if self._pending_heap[0] + size > self._floor:
+            return []
         return self._release_ready()
 
     def mark_inactive(self, source: int) -> List[Tuple[int, int]]:
@@ -167,23 +244,24 @@ class FinalAggregator:
         if not self.active[source]:
             raise AlreadyInactive(f"source {source} already inactive")
         self.active[source] = False
+        self._set_floor()
         return self._release_ready()
 
     def all_inactive(self) -> bool:
         return not any(self.active.values())
 
+    def _set_floor(self) -> None:
+        active = self.active
+        live = [wm for s, wm in self.source_watermarks.items() if active[s]]
+        self._floor = min(live, default=inf)
+        self._at_floor = live.count(self._floor)
+
     def _release_ready(self) -> List[Tuple[int, int]]:
-        # A window is ready when its end is at or below every active
-        # source's watermark; with no active sources everything pending
-        # is ready.
-        floor = min(
-            (wm for s, wm in self.source_watermarks.items() if self.active[s]),
-            default=None,
-        )
+        # A window is ready when its end is at or below the floor.
         heap = self._pending_heap
+        floor = self._floor - self.spec.size
         released = []
-        size = self.spec.size
-        while heap and (floor is None or heap[0] + size <= floor):
+        while heap and heap[0] <= floor:
             start = heapq.heappop(heap)
             total, _contributors = self.partials.pop(start)
             self.reported.add(start)

@@ -69,6 +69,14 @@ class ProbeFailure(RuntimeError):
     """The external energy probe failed or produced unusable output."""
 
 
+def _usable_capacity(kind: QueueKind, capacity: int) -> int:
+    """Elements a ring of ``capacity`` holds with no consumer: Lamport and
+    MCRingBuffer keep one slot free, FastForward and BatchQueue do not."""
+    if kind in (QueueKind.LAMPORT, QueueKind.MCRINGBUFFER):
+        return capacity - 1
+    return capacity
+
+
 @dataclass
 class BenchConfig:
     mode: str  # "micro" or "pipeline"
@@ -108,9 +116,17 @@ class BenchConfig:
                 )
         if self.mode == "pipeline" and self.producers > self.aggregators:
             raise InvalidConfig("more producers than aggregators")
+        if self.prefill is not None and self.prefill < 0:
+            raise InvalidConfig(f"prefill must be >= 0, got {self.prefill}")
         for kind in self.kinds:
             for capacity in self.capacities:
                 QueueConfig(capacity, mcr_batch_size=self.mcr_batch).validate(kind)
+                usable = _usable_capacity(kind, capacity)
+                if self.mode == "micro" and (self.prefill or 0) > usable:
+                    raise InvalidConfig(
+                        f"prefill {self.prefill} does not fit a {kind.value} "
+                        f"ring of {capacity}, which holds {usable}"
+                    )
 
 
 @dataclass

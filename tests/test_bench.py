@@ -180,6 +180,27 @@ class TestRunMicro:
         with pytest.raises(InvalidConfig):
             run_micro(cfg)
 
+    @pytest.mark.parametrize(
+        "kind,usable",
+        [
+            (QueueKind.LAMPORT, 7),
+            (QueueKind.FASTFORWARD, 8),
+            (QueueKind.BATCHQUEUE, 8),
+            (QueueKind.MCRINGBUFFER, 7),
+        ],
+    )
+    def test_prefill_limited_to_usable_capacity(self, kind, usable):
+        def config(prefill):
+            return BenchConfig(
+                mode="micro", kinds=[kind], capacities=[8], prefill=prefill,
+                tuples=100, reps=1,
+            )
+
+        config(usable).validate()
+        assert len(run_micro(config(usable))) == 2  # the full ring really fits
+        with pytest.raises(InvalidConfig):
+            config(usable + 1).validate()
+
     @pytest.mark.parametrize("kind", list(QueueKind))
     def test_lost_element_raises_instead_of_hanging(self, monkeypatch, kind):
         class DroppingProducer:

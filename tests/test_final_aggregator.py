@@ -1,5 +1,7 @@
 """Final aggregator: contribution tracking, watermarks, inactivity."""
 
+import random
+
 import pytest
 
 from streamq import (
@@ -93,3 +95,90 @@ def test_each_window_reported_exactly_once():
     starts = [s for s, _ in out]
     assert starts == sorted(set(starts))
     assert fa.reported == set(starts)
+
+
+class RecomputingFinal:
+    """Reference final aggregator: recomputes the lowest watermark of the
+    active sources on every call and releases every pending window whose
+    end is at or below it, ascending."""
+
+    def __init__(self, spec, sources):
+        self.size = spec.size
+        self.watermarks = {s: 0 for s in sources}
+        self.active = set(self.watermarks)
+        self.totals = {}
+        self.contributors = {}
+        self.reported = set()
+
+    def accept(self, partial):
+        start, total, source = partial
+        if source not in self.active:
+            raise InactiveSource(source)
+        if start in self.reported or source in self.contributors.get(start, ()):
+            raise DuplicateContribution(start)
+        self.totals[start] = self.totals.get(start, 0) + total
+        self.contributors.setdefault(start, set()).add(source)
+        self.watermarks[source] = max(self.watermarks[source], start + self.size)
+        return self._release()
+
+    def mark_inactive(self, source):
+        if source not in self.watermarks:
+            raise InactiveSource(source)
+        if source not in self.active:
+            raise AlreadyInactive(source)
+        self.active.remove(source)
+        return self._release()
+
+    def _release(self):
+        floor = min((self.watermarks[s] for s in self.active), default=None)
+        ready = sorted(
+            s for s in self.totals if floor is None or s + self.size <= floor
+        )
+        self.reported.update(ready)
+        for s in ready:
+            del self.contributors[s]
+        return [(s, self.totals.pop(s)) for s in ready]
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_cached_floor_matches_recomputed_floor():
+    rng = random.Random(5)
+    for _ in range(400):
+        size = rng.randint(1, 12)
+        spec = WindowSpec(size, rng.randint(1, size))
+        n = rng.randint(1, 6)
+        shipped, reference = FinalAggregator(spec, range(n)), RecomputingFinal(spec, range(n))
+        # Each source reports ascending window starts, often in lockstep
+        # with the others, so several sources sit at the floor at once.
+        streams = []
+        for _source in range(n):
+            k, starts = rng.randint(0, 3), []
+            for _ in range(rng.randint(0, 25)):
+                starts.append(k * spec.advance)
+                k += rng.choice((1, 1, 1, 2, 6))
+            streams.append(starts)
+        live = list(range(n))
+        while live:
+            source = rng.choice(live)
+            if not streams[source] or rng.random() < 0.03:
+                live.remove(source)
+                call = ("mark_inactive", source)
+            elif rng.random() < 0.05:  # a stray partial, often rejected
+                call = ("accept", WindowPartial(
+                    rng.randint(0, 60) * spec.advance, 1, rng.randint(0, n)
+                ))
+            else:
+                call = ("accept", WindowPartial(
+                    streams[source].pop(0), rng.randint(-3, 3), source
+                ))
+            name, arg = call
+            got = outcome(getattr(shipped, name), arg)
+            assert got == outcome(getattr(reference, name), arg), call
+        assert shipped.reported == reference.reported
+        assert not shipped.partials and shipped.all_inactive()

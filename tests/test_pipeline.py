@@ -93,6 +93,46 @@ def test_window_never_reported_twice():
     assert totals == oracle_aggregate(merged(workloads), SPEC)
 
 
+# The methods a span tracer wraps by patching ``owner.__dict__[name]``,
+# with the number of calls one run must make of each.
+TRACED = {
+    "update": (WindowAggregator, lambda n, m, aggs: n),
+    "finalize": (WindowAggregator, lambda n, m, aggs: aggs),
+    "accept": (FinalAggregator, lambda n, m, aggs: m.partials),
+    "mark_inactive": (FinalAggregator, lambda n, m, aggs: aggs),
+    # one send per tuple and per partial, and one end marker per aggregator
+    "enqueue_spin": (ProducerEndpoint, lambda n, m, aggs: n + m.partials + aggs),
+}
+
+
+@pytest.mark.parametrize("kind", list(QueueKind))
+@pytest.mark.parametrize(
+    "producers,aggregators,spec", [(3, 8, WindowSpec(64, 1)), (1, 10, WindowSpec(4, 2))]
+)
+def test_call_counts_a_tracer_relies_on(monkeypatch, kind, producers, aggregators, spec):
+    counts = dict.fromkeys(TRACED, 0)
+    lock = threading.Lock()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            with lock:
+                counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name, (owner, _want) in TRACED.items():
+        assert name in owner.__dict__, f"{owner.__name__}.{name} is inherited"
+        monkeypatch.setattr(owner, name, counting(name, owner.__dict__[name]))
+    workloads = split_workload(3_000, producers, seed=17)
+    cfg = config(producers, aggregators, kind, workloads, capacity=128, spec=spec)
+    totals, metrics = run_pipeline(cfg)
+    assert totals == oracle_aggregate(merged(workloads), spec)
+    n = sum(len(w) for w in workloads)
+    assert counts == {
+        name: want(n, metrics, aggregators) for name, (_owner, want) in TRACED.items()
+    }
+
+
 class TestConfigValidation:
     def test_unsorted_workload_rejected(self):
         cfg = config(1, 1, QueueKind.LAMPORT, [[(3, 1), (2, 1)]])

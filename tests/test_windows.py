@@ -120,3 +120,82 @@ class TestWindowAggregator:
         assert [(p.start, p.total) for p in expired] == [(0, 1)]
         # Nothing between the two bursts materialized a window.
         assert [(p.start, p.total) for p in agg.finalize()] == [(98, 1), (100, 1)]
+
+
+class DictAggregator:
+    """Reference stage-2 aggregator: every tuple adds its value to each
+    window ``window_starts`` names, and a window is emitted once the
+    watermark passes its end. A window exists once a tuple lands in it."""
+
+    def __init__(self, spec, source):
+        self.spec = spec
+        self.source = source
+        self.sums = {}
+        self.watermark = -1
+        self.emitted_count = 0
+
+    def update(self, timestamp, value):
+        for s in window_starts(timestamp, self.spec):
+            self.sums[s] = self.sums.get(s, 0) + value
+        self.watermark = timestamp
+        return self._expire(timestamp - self.spec.size)
+
+    def finalize(self):
+        return self._expire(None)
+
+    def _expire(self, horizon):
+        starts = sorted(s for s in self.sums if horizon is None or s <= horizon)
+        self.emitted_count += len(starts)
+        return [(s, self.sums.pop(s), self.source) for s in starts]
+
+
+def random_trace(rng, size, length):
+    """A sorted trace with repeated timestamps, short steps, gaps wider
+    than the window, and zero and negative values."""
+    ts = rng.randint(0, 3 * size)
+    trace = []
+    for _ in range(length):
+        ts += rng.choice((0, 0, 1, 1, 2, size + rng.randint(1, 2 * size)))
+        trace.append((ts, rng.choice((0, 0, -1, rng.randint(-5, 5)))))
+    return trace
+
+
+def assert_same_partials(spec, trace):
+    panes = WindowAggregator(spec, source=7)
+    reference = DictAggregator(spec, source=7)
+    for ts, value in trace:
+        got = [tuple(p) for p in panes.update(ts, value)]
+        assert got == reference.update(ts, value), (spec, ts)
+        assert panes.watermark == reference.watermark
+        assert panes.emitted_count == reference.emitted_count
+    assert [tuple(p) for p in panes.finalize()] == reference.finalize(), spec
+    assert panes.emitted_count == reference.emitted_count
+    assert panes.finalize() == []
+
+
+class TestPanesMatchPerWindowSums:
+    @pytest.mark.parametrize(
+        "size,advance", [(64, 1), (4, 2), (10, 4), (6, 4), (5, 5)]
+    )
+    def test_fixed_specs(self, size, advance):
+        rng = random.Random(size * 100 + advance)
+        spec = WindowSpec(size, advance)
+        for _ in range(40):
+            assert_same_partials(spec, random_trace(rng, size, rng.randint(0, 150)))
+
+    def test_random_specs(self):
+        rng = random.Random(8)
+        for _ in range(400):
+            size = rng.randint(1, 40)
+            spec = WindowSpec(size, rng.randint(1, size))
+            assert_same_partials(spec, random_trace(rng, size, rng.randint(0, 80)))
+
+    def test_zero_sum_window_is_still_emitted(self):
+        agg = WindowAggregator(WindowSpec(4, 2))
+        agg.update(1, 3)
+        agg.update(1, -3)
+        assert [tuple(p) for p in agg.update(9, 0)] == [(0, 0, 0)]
+
+    def test_negative_timestamp_rejected(self):
+        with pytest.raises(ValueError):
+            WindowAggregator(WindowSpec(4, 2)).update(-1, 1)
