@@ -100,7 +100,9 @@ class WindowAggregator:
 
     ``update`` feeds one tuple and returns the windows that expired as a
     result, oldest first; ``finalize`` flushes whatever is still open
-    once the input is exhausted.
+    once the input is exhausted and closes the stream: it raises the
+    watermark to infinity, so a later ``update`` raises OutOfOrderTuple
+    and a later ``finalize`` returns [].
     """
 
     def __init__(self, spec: WindowSpec, source: int = 0):
@@ -113,10 +115,6 @@ class WindowAggregator:
         self._stride = spec.advance // g  # panes from one window start to the next
         self._span = spec.size // g  # panes per window
         self._panes: Deque[list] = deque()
-        self._reset()
-
-    def _reset(self) -> None:
-        self._panes.clear()
         self._next = 0  # index of the next window to emit
         self._due = self.spec.size  # that window's end: a tuple there expires it
         self._held = 0  # leading panes inside the running sum
@@ -142,11 +140,10 @@ class WindowAggregator:
         return self._emit((timestamp - spec.size) // spec.advance)
 
     def finalize(self) -> List[WindowPartial]:
+        self.watermark = inf
         if not self._panes:
             return []
-        out = self._emit(self._panes[-1][0] // self._stride)
-        self._reset()
-        return out
+        return self._emit(self._panes[-1][0] // self._stride)
 
     def _emit(self, last: int) -> List[WindowPartial]:
         """The non-empty windows from the next one up to ``last``,

@@ -24,8 +24,6 @@ import random
 import re
 import shlex
 import subprocess
-import threading
-import time
 from array import array
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -33,7 +31,7 @@ from typing import Any, List, Optional, Sequence, Tuple, get_args, get_type_hint
 
 from .aggregation import WindowSpec
 from .oracle import OpLog, check_fifo, oracle_aggregate
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline, run_stages
 from .queues import EMPTY, InvalidConfig, QueueConfig, QueueKind, new_queue
 
 log = logging.getLogger(__name__)
@@ -292,11 +290,12 @@ def _handoff(
     producer and a consumer thread; return ``(elapsed_s, log)``.
 
     The first ``prefill`` elements go in before the clock starts, the
-    next ``count`` while it runs. The clock spans releasing both threads
-    to joining them. The consumer always drains until the queue is
-    finished() and records each ``seq``, so the log is complete: a lost,
-    duplicated or reordered element shows up in check_fifo, never as a
-    producer stuck on a full ring.
+    next ``count`` while it runs; the clock is run_stages'. The consumer
+    always drains until the queue is finished() and records each
+    ``seq``, so the log is complete: a lost, duplicated or reordered
+    element shows up in check_fifo, never as a producer stuck on a full
+    ring. An error on either side aborts the other side's wait and is
+    raised here.
     """
     producer, consumer = new_queue(kind, qconfig)
     for seq in range(prefill):
@@ -307,44 +306,31 @@ def _handoff(
             )
     total = prefill + count
     dequeued = array("q")
-    start = threading.Event()
 
     # Both loops try inline and fall back to the spin wrappers only on a
     # miss, so the wait policy costs nothing on the success path. The
     # padding is allocated per element inside the clock: carrying it
     # through the queue is what the element-size sweep measures.
-    def produce():
-        start.wait()
+    def produce(abort):
         enq = producer.try_enqueue
         for seq in range(prefill, total):
             item = (seq, bytes(pad_len))
             if not enq(item):
-                producer.enqueue_spin(item)
+                producer.enqueue_spin(item, abort=abort)
         producer.producer_finish()
 
-    def consume():
-        start.wait()
+    def consume(abort):
         deq = consumer.try_dequeue
         got = dequeued.append
         while True:
             item = deq()
             if item is EMPTY:
-                item = consumer.dequeue_spin()
+                item = consumer.dequeue_spin(abort=abort)
                 if item is EMPTY:
                     return
             got(item[0])
 
-    threads = [
-        threading.Thread(target=produce, name="handoff-producer"),
-        threading.Thread(target=consume, name="handoff-consumer"),
-    ]
-    for thread in threads:
-        thread.start()
-    t0 = time.perf_counter()
-    start.set()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - t0
+    elapsed = run_stages({"handoff-producer": produce, "handoff-consumer": consume})
     return elapsed, OpLog(enqueued=range(total), dequeued=dequeued, complete=True)
 
 
@@ -394,9 +380,8 @@ def default_prefill(kind: QueueKind, capacity: int) -> int:
     """Ring pre-population giving the producer a head start: half the
     ring at the 128 reference size, 150 elements otherwise, clamped to
     what the kind can hold."""
-    usable = capacity if kind is QueueKind.BATCHQUEUE else capacity - 1
     target = capacity // 2 if capacity == 128 else 150
-    return min(target, usable)
+    return min(target, _usable_capacity(kind, capacity))
 
 
 def _with_energy(config: BenchConfig, fn, *args):

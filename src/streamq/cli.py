@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 oracle mismatch (a
 pipeline run against the oracle, a micro run against check_fifo),
-4 probe failure under --strict-energy.
+4 probe failure under --strict-energy. Any other error raised during a
+run propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .bench import (
     rows_to_json,
     run_bench,
 )
-from .queues import InvalidConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,10 +117,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-        rows = run_bench(config)
-    except (InvalidConfig, ValueError) as exc:
+        config.validate()
+    except ValueError as exc:  # InvalidConfig included
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        rows = run_bench(config)
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return EXIT_ORACLE

@@ -13,10 +13,12 @@ an inactivity marker; the final aggregator polls its queues round-robin,
 skipping empty ones, until every source has gone inactive, at which
 point all pending windows have been released.
 
-Failure: every wait in a run shares one abort event, which is set when
-any stage raises. A stage therefore needs no cleanup on its error path:
-each stage still waiting raises Aborted at its next miss and unwinds,
-and run_pipeline re-raises the first stage's error.
+Failure: the stages run under run_stages, which passes them all one
+abort event and sets it when any stage raises. A stage therefore needs
+no cleanup on its error path: each stage still waiting raises Aborted
+at its next miss and unwinds, and run_stages re-raises the first
+stage's error. The two-thread handoff of the micro benchmark and the
+FIFO stress runs is the other user of run_stages.
 
 All cross-thread communication goes through the queues; every other
 piece of state is owned by exactly one thread.
@@ -27,9 +29,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .aggregation import FinalAggregator, WindowAggregator, WindowPartial, WindowSpec
+from .aggregation import FinalAggregator, WindowAggregator, WindowSpec
 from .queues import (
     EMPTY,
     Aborted,
@@ -114,10 +117,8 @@ def partition_aggregators(producers: int, aggregators: int) -> List[range]:
 def _run_producer(
     workload: List[Tuple[int, int]],
     outputs: List[ProducerEndpoint],
-    start: threading.Event,
     abort: threading.Event,
 ) -> None:
-    start.wait()
     n_out = len(outputs)
     rr = 0
     for item in workload:
@@ -134,26 +135,22 @@ def _run_aggregator(
     spec: WindowSpec,
     inp: ConsumerEndpoint,
     out: ProducerEndpoint,
-    start: threading.Event,
-    abort: threading.Event,
     counters: Dict[int, int],
+    abort: threading.Event,
 ) -> None:
-    start.wait()
     agg = WindowAggregator(spec, source=source)
     send = out.enqueue_spin
-    wait = Waiter(abort=abort)
+    deq = inp.try_dequeue
     while True:
-        item = inp.try_dequeue()
+        item = deq()
         if item is EMPTY:
-            if inp.finished():
+            item = inp.dequeue_spin(abort=abort)
+            if item is EMPTY:
                 break
-            wait()
-            continue
-        wait.misses = 0
-        for partial in agg.update(item[0], item[1]):
-            send(partial, abort=abort)
-    for partial in agg.finalize():
-        send(partial, abort=abort)
+        for p in agg.update(item[0], item[1]):
+            send(p, abort=abort)
+    for p in agg.finalize():
+        send(p, abort=abort)
     send(SourceDone(source), abort=abort)
     out.producer_finish()
     counters[source] = agg.emitted_count
@@ -163,10 +160,8 @@ def _run_final(
     fa: FinalAggregator,
     inputs: List[ConsumerEndpoint],
     results: Dict[int, int],
-    start: threading.Event,
     abort: threading.Event,
 ) -> None:
-    start.wait()
     live = list(inputs)
     wait = Waiter(abort=abort)
     while live:
@@ -195,13 +190,52 @@ def _run_final(
     assert not fa.partials, "final aggregator exited with unreleased windows"
 
 
+def run_stages(stages: Dict[str, Callable[[threading.Event], None]]) -> float:
+    """Run each stage in its own thread, named by its key, and return the
+    wall time from releasing the threads to the last join.
+
+    Every stage is called with the run's abort event, which is set as
+    soon as any stage raises. Once all threads have joined, the first
+    error is re-raised, preferring the root cause over the Aborted and
+    AssertionError it set off in the other stages.
+    """
+    start = threading.Event()
+    abort = threading.Event()
+    errors: List[BaseException] = []
+
+    def runner(stage):
+        start.wait()
+        try:
+            stage(abort)
+        except BaseException as exc:  # surfaced after join
+            errors.append(exc)
+            abort.set()
+
+    threads = [
+        threading.Thread(target=runner, args=(stage,), name=name)
+        for name, stage in stages.items()
+    ]
+    for t in threads:
+        t.start()
+    t0 = time.perf_counter()
+    start.set()
+    for t in threads:
+        t.join()
+    elapsed = time.perf_counter() - t0
+    if errors:
+        raise next(
+            (e for e in errors if not isinstance(e, (AssertionError, Aborted))),
+            errors[0],
+        )
+    return elapsed
+
+
 def run_pipeline(config: PipelineConfig) -> Tuple[Dict[int, int], RunMetrics]:
     """Run the full pipeline and return the window totals plus metrics.
 
-    The clock covers the span from releasing the worker threads to the
-    last join; construction and wiring are excluded. The first exception
-    in a worker thread aborts every other thread's waits and is
-    re-raised here; windows still in flight are discarded.
+    The clock is run_stages', so construction and wiring are excluded.
+    The first exception in a stage aborts every other stage's waits and
+    is re-raised here; windows still in flight are discarded.
     """
     config.validate()
     blocks = partition_aggregators(config.producers, config.aggregators)
@@ -226,60 +260,17 @@ def run_pipeline(config: PipelineConfig) -> Tuple[Dict[int, int], RunMetrics]:
     fa = FinalAggregator(config.spec, sources=range(config.aggregators))
     results: Dict[int, int] = {}
     partial_counts: Dict[int, int] = {}
-    start = threading.Event()
-    abort = threading.Event()
-    errors: List[BaseException] = []
-
-    def guarded(fn, *args):
-        def runner():
-            try:
-                fn(*args)
-            except BaseException as exc:  # surfaced after join
-                errors.append(exc)
-                abort.set()
-        return runner
-
-    threads = [
-        threading.Thread(
-            target=guarded(
-                _run_producer, config.workloads[i], feed_producers[i], start, abort
-            ),
-            name=f"producer-{i}",
-        )
+    stages = {
+        f"producer-{i}": partial(_run_producer, config.workloads[i], feed_producers[i])
         for i in range(config.producers)
-    ]
-    threads += [
-        threading.Thread(
-            target=guarded(
-                _run_aggregator, j, config.spec, agg_inputs[j], agg_outputs[j],
-                start, abort, partial_counts,
-            ),
-            name=f"aggregator-{j}",
+    }
+    for j in range(config.aggregators):
+        stages[f"aggregator-{j}"] = partial(
+            _run_aggregator, j, config.spec, agg_inputs[j], agg_outputs[j],
+            partial_counts,
         )
-        for j in range(config.aggregators)
-    ]
-    threads.append(
-        threading.Thread(
-            target=guarded(_run_final, fa, final_inputs, results, start, abort),
-            name="final-aggregator",
-        )
-    )
-
-    for t in threads:
-        t.start()
-    t0 = time.perf_counter()
-    start.set()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - t0
-
-    if errors:
-        # Prefer the root cause over the aborts it triggered and the
-        # consistency asserts that fired downstream of it.
-        raise next(
-            (e for e in errors if not isinstance(e, (AssertionError, Aborted))),
-            errors[0],
-        )
+    stages["final-aggregator"] = partial(_run_final, fa, final_inputs, results)
+    elapsed = run_stages(stages)
 
     metrics = RunMetrics(
         elapsed_s=elapsed,

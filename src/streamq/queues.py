@@ -256,17 +256,22 @@ class ConsumerEndpoint:
         committed element has been dequeued."""
         raise NotImplementedError
 
-    def dequeue_spin(self, budget: Optional[int] = None) -> Any:
+    def dequeue_spin(
+        self,
+        budget: Optional[int] = None,
+        abort: Optional[threading.Event] = None,
+    ) -> Any:
         """Retry try_dequeue until it returns an element, waiting between
         attempts; return EMPTY once the queue is finished().
 
         ``budget`` bounds the number of try_dequeue calls; None spins
         until an element or the end. Raises QueueTimeout when the
-        budget is exhausted.
+        budget is exhausted and Aborted once ``abort`` is set while the
+        queue is empty.
         """
         item = self.try_dequeue()
         if item is EMPTY:
-            wait = Waiter(budget)  # made on the first miss only
+            wait = Waiter(budget, abort)  # made on the first miss only
             while item is EMPTY and not self.finished():
                 wait()
                 item = self.try_dequeue()

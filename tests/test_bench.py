@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import streamq.bench
-from streamq import QueueKind, WindowSpec, oracle_aggregate
+from streamq import QueueConfig, QueueKind, WindowSpec, new_queue, oracle_aggregate
 from streamq.bench import (
     BASE_ELEMENT_BYTES,
     BenchConfig,
@@ -133,6 +133,20 @@ class TestPrefillRule:
     def test_clamped_to_usable(self):
         assert default_prefill(QueueKind.LAMPORT, 64) == 63
         assert default_prefill(QueueKind.BATCHQUEUE, 64) == 64
+
+    def test_fastforward_uses_the_whole_ring(self):
+        assert default_prefill(QueueKind.FASTFORWARD, 64) == 64
+        assert default_prefill(QueueKind.FASTFORWARD, 128) == 64
+        assert default_prefill(QueueKind.FASTFORWARD, 2048) == 150
+
+    @pytest.mark.parametrize("kind", list(QueueKind))
+    def test_clamp_fills_the_ring_exactly(self, kind):
+        for capacity in (2, 4, 64, 128, 150, 152):
+            producer, _ = new_queue(kind, QueueConfig(capacity))
+            n = default_prefill(kind, capacity)
+            assert all(producer.try_enqueue(i) for i in range(n)), capacity
+            if n < (64 if capacity == 128 else 150):
+                assert not producer.try_enqueue(n), capacity
 
 
 class TestRunMicro:

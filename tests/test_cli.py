@@ -6,6 +6,7 @@ import stat
 import pytest
 
 import streamq.bench
+from streamq.aggregation import DuplicateContribution, FinalAggregator
 from streamq.bench import BenchConfig, rows_from_csv
 from streamq.cli import (
     EXIT_CONFIG,
@@ -127,6 +128,18 @@ class TestExitCodes:
         ])
         assert code == EXIT_ORACLE
         assert "oracle mismatch" in capsys.readouterr().err
+
+    def test_run_time_error_propagates(self, monkeypatch):
+        # A ValueError raised by a run is not a configuration error.
+        def duplicate(self, partial):
+            raise DuplicateContribution(f"window {partial.start} injected")
+
+        monkeypatch.setattr(FinalAggregator, "accept", duplicate)
+        with pytest.raises(DuplicateContribution):
+            main([
+                "--mode", "pipeline", "--kind", "lamport", "--capacity", "64",
+                "--tuples", "50", "--reps", "1", "--aggregators", "2",
+            ])
 
     def test_strict_energy_probe_failure(self, tmp_path, capsys):
         probe = tmp_path / "probe.sh"

@@ -287,6 +287,17 @@ class TestSpinWrappers:
         timer.join()
         assert time.perf_counter() - t0 < 5.0
 
+    def test_dequeue_spin_aborts_on_empty(self):
+        _, consumer = make(QueueKind.LAMPORT, 2)
+        abort = threading.Event()
+        timer = threading.Timer(0.05, abort.set)
+        timer.start()
+        t0 = time.perf_counter()
+        with pytest.raises(Aborted):
+            consumer.dequeue_spin(abort=abort)
+        timer.join()
+        assert time.perf_counter() - t0 < 5.0
+
 
 class TestWaitPolicy:
     def test_yields_then_sleeps_and_resets(self, monkeypatch):

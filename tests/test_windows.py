@@ -79,6 +79,24 @@ class TestWindowAggregator:
         assert [(p.start, p.total) for p in remaining] == [(2, 8), (4, 1)]
         assert agg.finalize() == []
 
+    def test_update_after_finalize_rejected(self):
+        # A tuple after the flush would reopen window 0, already emitted.
+        agg = WindowAggregator(WindowSpec(4, 2))
+        agg.update(0, 1)
+        assert [(p.start, p.total) for p in agg.finalize()] == [(0, 1)]
+        with pytest.raises(OutOfOrderTuple):
+            agg.update(1, 1)
+        with pytest.raises(OutOfOrderTuple):
+            agg.update(100, 1)
+        assert agg.finalize() == []
+        assert agg.emitted_count == 1
+
+    def test_update_after_empty_finalize_rejected(self):
+        agg = WindowAggregator(WindowSpec(4, 2))
+        assert agg.finalize() == []
+        with pytest.raises(OutOfOrderTuple):
+            agg.update(0, 1)
+
     def test_fresh_finalize_empty(self):
         assert WindowAggregator(WindowSpec(4, 2)).finalize() == []
 
