@@ -18,7 +18,8 @@ shared ring. Each endpoint must be driven by at most one thread at a
 time; the two endpoints may run fully concurrently. The non-blocking
 ``try_enqueue``/``try_dequeue`` are the primitives; ``enqueue_spin`` and
 ``dequeue_spin`` wrap them in a ``Waiter``, the one wait policy every
-poll loop in the package uses.
+poll loop in the package uses: ``os.sched_yield()`` for a short run of
+misses, then short sleeps. The yield needs a POSIX ``os.sched_yield``.
 
 Memory ordering: every payload write happens before the single store
 that publishes it (index, cell, or flag), and consumers read that
@@ -30,6 +31,7 @@ placement in this module mirrors what a weak-memory port would fence.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -74,7 +76,10 @@ class _Sentinel:
 EMPTY = _Sentinel("EMPTY")
 
 # Waiter's policy. Sleeping for real after a run of yields keeps
-# many-thread pipelines from thrashing.
+# many-thread pipelines from thrashing. The yields use os.sched_yield,
+# not time.sleep(0): since Python 3.11 sleep(0) goes through
+# clock_nanosleep and pays the thread's timer slack (50 us by default
+# on Linux), where sched_yield costs well under a microsecond.
 _YIELD_MISSES = 64
 _SLEEP_SECONDS = 0.0001
 
@@ -84,11 +89,12 @@ class Waiter:
 
     A poll loop calls the waiter after each miss (a full or empty queue,
     or a sweep that made no progress). The first ``_YIELD_MISSES``
-    consecutive misses yield with ``sleep(0)``; later ones sleep
+    consecutive misses yield with ``os.sched_yield()``, which releases
+    the interpreter lock around the call; later ones sleep
     ``_SLEEP_SECONDS``. A loop that makes progress resets ``misses`` to
     0. ``budget`` bounds the misses (QueueTimeout once reached) and a
     set ``abort`` event ends the wait (Aborted); both are checked
-    before sleeping.
+    before yielding or sleeping.
     """
 
     __slots__ = ("misses", "_budget", "_abort")
@@ -106,8 +112,11 @@ class Waiter:
             raise Aborted("wait aborted: another thread of the run failed")
         if self._budget is not None and self.misses >= self._budget:
             raise QueueTimeout(f"gave up after {self.misses} attempts")
-        # time.sleep is looked up per call, so a patched one is honoured.
-        time.sleep(0 if self.misses <= _YIELD_MISSES else _SLEEP_SECONDS)
+        # Both are looked up per call, so a patched one is honoured.
+        if self.misses <= _YIELD_MISSES:
+            os.sched_yield()
+        else:
+            time.sleep(_SLEEP_SECONDS)
 
 
 @dataclass(frozen=True)

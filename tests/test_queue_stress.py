@@ -1,13 +1,13 @@
 """Two-thread stress runs; the heavyweight version lives in acceptance."""
 
 import threading
-import time
 from collections import Counter
 
 import pytest
 
 from streamq import EMPTY, QueueConfig, QueueKind, check_fifo, new_queue
 from streamq.bench import fifo_stress_run
+from streamq.pipeline import run_stages
 
 ALL_KINDS = list(QueueKind)
 
@@ -41,26 +41,16 @@ def test_mcr_publication_arithmetic_under_concurrency():
             QueueKind.MCRINGBUFFER, QueueConfig(capacity=64, mcr_batch_size=32)
         )
 
-        def produce():
-            sent = 0
-            while sent < count:
-                if producer.try_enqueue(sent):
-                    sent += 1
-                else:
-                    time.sleep(0)
+        def produce(abort):
+            for i in range(count):
+                producer.enqueue_spin(i, abort=abort)
             producer.producer_finish()
 
-        def consume():
-            got = 0
-            while got < count:
-                if consumer.try_dequeue() is not EMPTY:
-                    got += 1
-                else:
-                    time.sleep(0)
+        def consume(abort):
+            for _ in range(count):
+                assert consumer.dequeue_spin(abort=abort) is not EMPTY
 
-        tp = threading.Thread(target=produce)
-        tc = threading.Thread(target=consume)
-        tp.start(); tc.start(); tp.join(); tc.join()
+        run_stages({"producer": produce, "consumer": consume})
         expected = count // 32 + (1 if count % 32 else 0)
         assert producer.stats().publication_events == expected
 

@@ -1,6 +1,7 @@
 """Unit tests for the four queue kinds against hand-traced expectations."""
 
 import ast
+import os
 import threading
 import time
 from pathlib import Path
@@ -301,19 +302,23 @@ class TestSpinWrappers:
 
 class TestWaitPolicy:
     def test_yields_then_sleeps_and_resets(self, monkeypatch):
-        slept = []
-        monkeypatch.setattr(time, "sleep", slept.append)
+        calls = []
+        monkeypatch.setattr(os, "sched_yield", lambda: calls.append("yield"))
+        monkeypatch.setattr(time, "sleep", calls.append)
         wait = Waiter()
         for _ in range(66):
             wait()
         wait.misses = 0
         wait()
-        assert slept == [0] * 64 + [0.0001] * 2 + [0]
+        assert calls == ["yield"] * 64 + [0.0001] * 2 + ["yield"]
+        assert 0 not in calls  # never time.sleep(0)
 
     def test_waiter_is_the_only_sleeper(self):
-        # One wait policy: nothing else in the package may sleep, import
-        # a sleep function or keep a reference to one.
+        # One wait policy: nothing else in the package may sleep or
+        # yield, import a sleep or yield function or keep a reference to
+        # one, and the waiter names each of them once.
         scopes = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        waits = {"sleep", "sched_yield"}
 
         def sleepers(node, scope):
             for child in ast.iter_child_nodes(node):
@@ -322,8 +327,8 @@ class TestWaitPolicy:
                     inner = f"{scope}.{child.name}"
                 else:
                     names = {getattr(child, a, None) for a in ("id", "attr", "name")}
-                    if "sleep" in names:
-                        yield scope
+                    for name in sorted(waits & names):
+                        yield scope, name
                 yield from sleepers(child, inner)
 
         package = Path(streamq.__file__).parent
@@ -332,7 +337,10 @@ class TestWaitPolicy:
             for path in sorted(package.glob("*.py"))
             for where in sleepers(ast.parse(path.read_text()), path.stem)
         ]
-        assert found == ["queues.Waiter.__call__"]
+        assert sorted(found) == [
+            ("queues.Waiter.__call__", "sched_yield"),
+            ("queues.Waiter.__call__", "sleep"),
+        ]
 
 
 class TestHeartbeat:
