@@ -20,12 +20,19 @@ at its next miss and unwinds, and run_stages re-raises the first
 stage's error. The two-thread handoff of the micro benchmark and the
 FIFO stress runs is the other user of run_stages.
 
+Placement: run_stages starts every stage thread on the caller's current
+CPU. Under CPython's interpreter lock the stages take turns anyway, and
+on one CPU a stage that waits in ``os.sched_yield()`` hands the CPU to
+the peer it woke; across CPUs every lock handoff would wake the other
+CPU while the yield returns at once to an empty run queue.
+
 All cross-thread communication goes through the queues; every other
 piece of state is owned by exactly one thread.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -190,6 +197,14 @@ def _run_final(
     assert not fa.partials, "final aggregator exited with unreleased windows"
 
 
+def _current_cpu() -> int:
+    """The CPU the calling thread last ran on: field 39 of its
+    ``/proc`` stat line. The command name (field 2) may hold spaces, so
+    the fields are split after its closing parenthesis, from field 3."""
+    with open("/proc/thread-self/stat") as f:
+        return int(f.read().rpartition(")")[2].split()[36])
+
+
 def run_stages(stages: Dict[str, Callable[[threading.Event], None]]) -> float:
     """Run each stage in its own thread, named by its key, and return the
     wall time from releasing the threads to the last join.
@@ -198,6 +213,17 @@ def run_stages(stages: Dict[str, Callable[[threading.Event], None]]) -> float:
     soon as any stage raises. Once all threads have joined, the first
     error is re-raised, preferring the root cause over the Aborted and
     AssertionError it set off in the other stages.
+
+    All the stage threads share one CPU, the one the caller is running
+    on: the caller is confined to it while it starts them (new threads
+    inherit the mask) and gets its own mask back once they have
+    started. Under the interpreter lock only one thread runs bytecode
+    at a time, so this costs no parallelism. Spread over CPUs, each
+    lock handoff would have to wake the other CPU, while the stage that
+    gave the lock up in ``os.sched_yield()`` finds its own run queue
+    empty and takes the lock straight back; on one CPU the yield hands
+    the CPU to the peer it has just woken. Where the platform has no
+    affinity calls or no ``/proc``, the stages run unconfined.
     """
     start = threading.Event()
     abort = threading.Event()
@@ -215,8 +241,17 @@ def run_stages(stages: Dict[str, Callable[[threading.Event], None]]) -> float:
         threading.Thread(target=runner, args=(stage,), name=name)
         for name, stage in stages.items()
     ]
-    for t in threads:
-        t.start()
+    try:
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {_current_cpu()})
+    except (OSError, AttributeError):
+        allowed = None  # no affinity control here: run unconfined
+    try:
+        for t in threads:
+            t.start()  # a new thread inherits its creator's CPU mask
+    finally:
+        if allowed is not None:
+            os.sched_setaffinity(0, allowed)
     t0 = time.perf_counter()
     start.set()
     for t in threads:

@@ -20,6 +20,11 @@ time; the two endpoints may run fully concurrently. The non-blocking
 ``dequeue_spin`` wrap them in a ``Waiter``, the one wait policy every
 poll loop in the package uses: ``os.sched_yield()`` for a short run of
 misses, then short sleeps. The yield needs a POSIX ``os.sched_yield``.
+It passes the interpreter lock to a peer only when that peer can run on
+the yielding thread's CPU: on a CPU of its own the peer must first be
+woken, and the yield returns at once to an empty run queue. That is why
+``pipeline.run_stages`` starts every thread of a run on one CPU; the
+endpoints and the Waiter themselves never touch a thread's affinity.
 
 Memory ordering: every payload write happens before the single store
 that publishes it (index, cell, or flag), and consumers read that
@@ -126,11 +131,11 @@ class QueueConfig:
     ``capacity`` is the slot count of the backing array. BatchQueue
     requires it to be even (two equal halves). ``mcr_batch_size`` and
     ``mcr_heartbeat_period`` only affect MCRingBuffer; the batch size
-    must divide the capacity. The heartbeat period is a publication
-    threshold: the producer publishes its index once ``min(batch size,
-    period)`` elements are unpublished, so a stalled input never hides
-    that many. ``debug`` enables extra ownership assertions on the hot
-    paths.
+    must divide the capacity and be smaller than it, so at most half of
+    it. The heartbeat period is a publication threshold: the producer
+    publishes its index once ``min(batch size, period)`` elements are
+    unpublished, so a stalled input never hides that many. ``debug``
+    enables extra ownership assertions on the hot paths.
     """
 
     capacity: int
@@ -148,9 +153,12 @@ class QueueConfig:
         if kind is QueueKind.MCRINGBUFFER:
             if self.mcr_batch_size < 1:
                 raise InvalidConfig("mcr_batch_size must be positive")
-            if self.mcr_batch_size > self.capacity:
+            # The ring holds capacity - 1 elements past the published
+            # read index, and the consumer republishes that index only
+            # every batch reads: a batch of the whole ring would stall.
+            if self.mcr_batch_size >= self.capacity:
                 raise InvalidConfig(
-                    f"mcr_batch_size {self.mcr_batch_size} exceeds "
+                    f"mcr_batch_size {self.mcr_batch_size} must be below "
                     f"capacity {self.capacity}"
                 )
             if self.capacity % self.mcr_batch_size != 0:

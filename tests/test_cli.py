@@ -86,6 +86,15 @@ class TestExitCodes:
         ])
         assert code == EXIT_CONFIG
 
+    def test_mcr_batch_of_the_whole_ring_is_config_error(self, capsys):
+        # Such a ring would stall mid-run; it is rejected before any run.
+        code = main([
+            "--mode", "micro", "--kind", "mcr", "--capacity", "8",
+            "--mcr-batch", "8", "--tuples", "100", "--reps", "1", "--prefill", "0",
+        ])
+        assert code == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
     def test_config_error_exits_before_any_run_or_probe_call(self, tmp_path, capsys):
         # Capacity 64 is valid for a batch of 4 and capacity 6 is not; the
         # error must surface before the capacity-64 runs, probe included.

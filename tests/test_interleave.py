@@ -2,7 +2,9 @@
 
 import pytest
 
-from streamq import BoundsExceeded, QueueConfig, QueueKind, explore_interleavings, new_queue
+from streamq import (
+    BoundsExceeded, InvalidConfig, QueueConfig, QueueKind, explore_interleavings, new_queue,
+)
 from streamq.interleave import _Shared, _slots, _System, explore
 from streamq.queues import MCRingProducer, _Cell
 
@@ -59,13 +61,21 @@ class TestBounds:
 
 
 def test_unreachable_scripts_rejected():
-    # Batch equal to capacity can never publish before the finish
-    # flush, and the fair run that sizes the scripts does not finish.
+    # Batch equal to capacity is an invalid config (InvalidConfig is a
+    # ValueError): such a ring would stall before the finish flush.
     with pytest.raises(ValueError):
         explore_interleavings(QueueKind.MCRINGBUFFER, 2, 6, mcr_batch=2)
     # More dequeues than the hand-off grain can deliver.
     with pytest.raises(ValueError):
         explore_interleavings(QueueKind.BATCHQUEUE, 4, 5, 5)
+
+
+@pytest.mark.parametrize("enqueues", [3, 4])
+def test_mcr_batch_equal_capacity_is_invalid_config(enqueues):
+    # Rejected before any run, not reported as a script that cannot
+    # complete: 3 enqueues fit the ring, 4 do not.
+    with pytest.raises(InvalidConfig):
+        explore_interleavings(QueueKind.MCRINGBUFFER, 4, enqueues, mcr_batch=4)
 
 
 def test_batch_grain_limits_default_dequeues():

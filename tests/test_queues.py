@@ -83,25 +83,19 @@ def test_fastforward_carries_none_payloads():
 
 
 def test_mcr_unpublished_elements_stay_invisible():
-    producer, consumer = make(QueueKind.MCRINGBUFFER, 4, mcr_batch_size=4)
+    producer, consumer = make(QueueKind.MCRINGBUFFER, 8, mcr_batch_size=4)
     for i in range(3):
         assert producer.try_enqueue(i)
     assert consumer.try_dequeue() is EMPTY
 
 
-def test_mcr_batch_equal_capacity_publishes_once():
-    # With batch == capacity the ring (one guard slot) fills before the
-    # batch does; the only publication is the partial flush at finish.
-    producer, consumer = make(QueueKind.MCRINGBUFFER, 128, mcr_batch_size=128)
-    accepted = 0
-    for i in range(128):
-        if producer.try_enqueue(i):
-            accepted += 1
-    assert accepted == 127
-    assert producer.stats().publication_events == 0
-    producer.producer_finish()
-    assert producer.stats().publication_events == 1
-    assert consumer.drain() == list(range(127))
+def test_mcr_batch_equal_capacity_rejected():
+    # The ring (one guard slot) fills before such a batch does, and the
+    # consumer would never republish its read index: the queue stalls.
+    for capacity in (2, 4, 8, 128):
+        with pytest.raises(InvalidConfig):
+            make(QueueKind.MCRINGBUFFER, capacity, mcr_batch_size=capacity)
+        make(QueueKind.MCRINGBUFFER, capacity, mcr_batch_size=capacity // 2)
 
 
 def test_batchqueue_half_buffer_handoff():

@@ -1,14 +1,17 @@
-"""run_stages, the one thread runner: its lifecycle, and the threaded
-runs that rely on it raising a failing side's error instead of hanging."""
+"""run_stages, the one thread runner: its lifecycle, its placement of
+the threads on one CPU, and the threaded runs that rely on it raising a
+failing side's error instead of hanging."""
 
 import ast
+import os
 import threading
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import streamq
-from streamq import QueueConfig, QueueKind, new_queue
+from streamq import QueueConfig, QueueKind, check_fifo, new_queue
 from streamq.bench import fifo_stress_run
 from streamq.pipeline import run_stages
 
@@ -43,6 +46,68 @@ def test_stages_run_in_named_threads_and_are_timed():
     })
     assert sorted(names) == ["left", "right"]
     assert elapsed >= 0
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="no CPU affinity calls here"
+)
+
+
+@needs_affinity
+def test_stages_share_one_cpu():
+    masks = {}
+
+    def record(name, _abort):
+        masks[name] = frozenset(os.sched_getaffinity(0))
+
+    run_stages({name: partial(record, name) for name in ("a", "b", "c")})
+    assert sorted(masks) == ["a", "b", "c"]
+    shared = set(masks.values())
+    assert len(shared) == 1, masks
+    (mask,) = shared
+    assert len(mask) == 1 and mask <= os.sched_getaffinity(0), mask
+
+
+@needs_affinity
+def test_caller_mask_is_restored(monkeypatch):
+    before = os.sched_getaffinity(0)
+    run_stages({"idle": lambda _abort: None})
+    assert os.sched_getaffinity(0) == before
+
+    def fails(_abort):
+        raise InjectedFault("stage fault")
+
+    with pytest.raises(InjectedFault):
+        run_stages({"fails": fails, "idle": lambda _abort: None})
+    assert os.sched_getaffinity(0) == before
+
+    def cannot_start(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", cannot_start)
+    with pytest.raises(RuntimeError):
+        run_stages({"idle": lambda _abort: None})
+    assert os.sched_getaffinity(0) == before
+
+
+def test_stages_run_unconfined_without_affinity_calls(monkeypatch):
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    test_stages_run_in_named_threads_and_are_timed()
+
+
+def test_mcr_largest_accepted_batch_is_live():
+    # Batch 4 of 8 is the largest an MCRingBuffer of 8 accepts; a batch
+    # of the whole ring is rejected because it would stall.
+    count = 5_000
+
+    def run():
+        log = fifo_stress_run(
+            QueueKind.MCRINGBUFFER, 8, count, QueueConfig(capacity=8, mcr_batch_size=4)
+        )
+        assert check_fifo(log) is None
+        assert list(log.dequeued) == list(range(count))
+
+    assert raised_within(10.0, run) == []
 
 
 def test_root_cause_is_raised_over_aborts_and_asserts():
