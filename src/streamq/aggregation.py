@@ -8,9 +8,9 @@ sorted stream, sums it into panes of width ``gcd(size, advance)`` and
 emits each window that holds a tuple once its end has passed the
 watermark, from one running sum over the window's panes. A
 ``FinalAggregator`` merges the per-source partial sums, tracking which
-sources contributed to each window and which sources are still active,
-and releases every window exactly once as soon as no active source can
-still report it.
+sources contributed to each window and the watermark of each source
+still active, and releases every window exactly once as soon as no
+active source can still report it.
 
 ``window_starts`` lists the windows of one timestamp directly. The
 aggregators do not use it; it is the route of ``oracle_aggregate``, the
@@ -186,27 +186,29 @@ class FinalAggregator:
     the earlier window is complete for that source). Each window is
     released at most once; windows nobody contributed to never appear.
 
-    The release floor, the lowest watermark of an active source, is
-    cached with the number of active sources at it. It is recomputed
-    only when the last of those advances or a source goes inactive, and
-    it is infinite once no source is active.
+    One map holds the watermark of each active source, the end of the
+    last window it reported; a source leaves it when it goes inactive.
+    The release floor, the lowest of these watermarks, is cached with
+    the number of active sources at it. It is recomputed only when the
+    last of those advances or a source goes inactive, and it is infinite
+    once no source is active.
     """
 
     def __init__(self, spec: WindowSpec, sources: Iterable[int]):
         self.spec = spec
         self.partials: Dict[int, list] = {}  # start -> [total, contributor set]
-        self.source_watermarks: Dict[int, int] = {s: 0 for s in sources}
-        self.active: Dict[int, bool] = {s: True for s in self.source_watermarks}
+        self._sources = frozenset(sources)
+        self._watermarks: Dict[int, int] = dict.fromkeys(self._sources, 0)
         self.reported: Set[int] = set()
         self._pending_heap: List[int] = []
         self._set_floor()
 
     def accept(self, partial: WindowPartial) -> List[Tuple[int, int]]:
         start, total, source = partial
-        if source not in self.active:
-            raise InactiveSource(f"unknown source {source}")
-        if not self.active[source]:
-            raise InactiveSource(f"source {source} is inactive")
+        old = self._watermarks.get(source)
+        if old is None:
+            state = "inactive" if source in self._sources else "unknown"
+            raise InactiveSource(f"{state} source {source}")
         if start in self.reported:
             raise DuplicateContribution(
                 f"window {start} was already reported"
@@ -224,9 +226,8 @@ class FinalAggregator:
             entry[1].add(source)
         size = self.spec.size
         end = start + size
-        old = self.source_watermarks[source]
         if end > old:
-            self.source_watermarks[source] = end
+            self._watermarks[source] = end
             if old == self._floor:
                 self._at_floor -= 1
                 if not self._at_floor:
@@ -236,20 +237,18 @@ class FinalAggregator:
         return self._release_ready()
 
     def mark_inactive(self, source: int) -> List[Tuple[int, int]]:
-        if source not in self.active:
+        if self._watermarks.pop(source, None) is None:
+            if source in self._sources:
+                raise AlreadyInactive(f"source {source} already inactive")
             raise InactiveSource(f"unknown source {source}")
-        if not self.active[source]:
-            raise AlreadyInactive(f"source {source} already inactive")
-        self.active[source] = False
         self._set_floor()
         return self._release_ready()
 
     def all_inactive(self) -> bool:
-        return not any(self.active.values())
+        return not self._watermarks
 
     def _set_floor(self) -> None:
-        active = self.active
-        live = [wm for s, wm in self.source_watermarks.items() if active[s]]
+        live = list(self._watermarks.values())
         self._floor = min(live, default=inf)
         self._at_floor = live.count(self._floor)
 

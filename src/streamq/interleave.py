@@ -279,29 +279,28 @@ def explore(
     builds; None means all clean, else the first failing schedule.
 
     ``producer_class`` replaces the producer's class (a subclass with the
-    same slots), which is how a seeded bug is checked. A fair run without
-    ``producer_finish`` (each endpoint in turn until it stalls) must get
-    all ``enqueues`` in and, if given, ``dequeues`` out, else ValueError;
-    the search itself always drains to ``finished()``. It has no size
-    bound of its own.
+    same slots), which is how a seeded bug is checked. If ``dequeues`` is
+    given, a fair run without ``producer_finish`` (each endpoint in turn
+    until it stalls) must get that many out, else ValueError; the search
+    itself always drains to ``finished()``, and a run that stalls before
+    the finish comes back as a counterexample. It has no size bound of
+    its own.
     """
     config = replace(config, debug=True)  # the half-ownership check
-    producer, consumer = _build(kind, config, producer_class)
-    sent = got = 0
-    while True:
-        before = sent + got
-        while sent < enqueues and producer.try_enqueue(sent + 1):
-            sent += 1
-        while consumer.try_dequeue() is not EMPTY:
-            got += 1
-        if sent + got == before:
-            break
-    if sent < enqueues:
-        raise ValueError(f"enqueue script of {enqueues} cannot complete at "
-                         f"capacity {config.capacity} (only {sent} reachable)")
-    if dequeues is not None and dequeues > got:
-        raise ValueError(f"dequeue script of {dequeues} exceeds the {got} "
-                         f"consumable at this configuration")
+    if dequeues is not None:
+        producer, consumer = _build(kind, config, producer_class)
+        sent = got = 0
+        while True:
+            before = sent + got
+            while sent < enqueues and producer.try_enqueue(sent + 1):
+                sent += 1
+            while consumer.try_dequeue() is not EMPTY:
+                got += 1
+            if sent + got == before:
+                break
+        if dequeues > got:
+            raise ValueError(f"dequeue script of {dequeues} exceeds the {got} "
+                             f"consumable at this configuration")
 
     n = enqueues
     system = _System(kind, *_build(kind, config, producer_class))

@@ -9,9 +9,10 @@ aggregator still sees a sorted stream.
 Termination: a producer calls producer_finish on each of its queues
 (which runs the BatchQueue leftover hand-off where applicable); an
 aggregator drains its input, flushes its still-open windows, then sends
-an inactivity marker; the final aggregator polls its queues round-robin,
-skipping empty ones, until every source has gone inactive, at which
-point all pending windows have been released.
+an inactivity marker. The final aggregator polls its queues round-robin,
+skipping empty ones; queues are FIFO, so a marker is the last message of
+its queue, and the final aggregator drops the queue as it marks the
+source inactive. Once every queue is dropped, every window is released.
 
 Failure: the stages run under run_stages, which passes them all one
 abort event and sets it when any stage raises. A stage therefore needs
@@ -37,7 +38,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from itertools import cycle
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .aggregation import FinalAggregator, WindowAggregator, WindowSpec
 from .queues import (
@@ -126,13 +128,8 @@ def _run_producer(
     outputs: List[ProducerEndpoint],
     abort: threading.Event,
 ) -> None:
-    n_out = len(outputs)
-    rr = 0
-    for item in workload:
-        outputs[rr].enqueue_spin(item, abort=abort)
-        rr += 1
-        if rr == n_out:
-            rr = 0
+    for item, out in zip(workload, cycle(outputs)):
+        out.enqueue_spin(item, abort=abort)
     for out in outputs:
         out.producer_finish()
 
@@ -173,22 +170,16 @@ def _run_final(
     wait = Waiter(abort=abort)
     while live:
         progressed = False
-        finished_queues = []
         for q in live:  # round-robin sweep; empty queues are skipped
             item = q.try_dequeue()
             if item is EMPTY:
-                if q.finished():
-                    finished_queues.append(q)
                 continue
             progressed = True
-            if isinstance(item, SourceDone):
-                released = fa.mark_inactive(item.source)
-            else:
-                released = fa.accept(item)
-            for win_start, total in released:
-                results[win_start] = total
-        for q in finished_queues:
-            live.remove(q)
+            if isinstance(item, SourceDone):  # FIFO: the queue's last message
+                results.update(fa.mark_inactive(item.source))
+                live.remove(q)
+                break  # the sweep's list has changed
+            results.update(fa.accept(item))
         if progressed:
             wait.misses = 0
         else:
@@ -212,7 +203,9 @@ def run_stages(stages: Dict[str, Callable[[threading.Event], None]]) -> float:
     Every stage is called with the run's abort event, which is set as
     soon as any stage raises. Once all threads have joined, the first
     error is re-raised, preferring the root cause over the Aborted and
-    AssertionError it set off in the other stages.
+    AssertionError it set off in the other stages. If a thread fails to
+    start, the ones already started return without running their stage,
+    and the error is re-raised once they have joined.
 
     All the stage threads share one CPU, the one the caller is running
     on: the caller is confined to it while it starts them (new threads
@@ -228,9 +221,12 @@ def run_stages(stages: Dict[str, Callable[[threading.Event], None]]) -> float:
     start = threading.Event()
     abort = threading.Event()
     errors: List[BaseException] = []
+    released = False  # every thread has started: the stages may run
 
     def runner(stage):
         start.wait()
+        if not released:  # another thread failed to start
+            return
         try:
             stage(abort)
         except BaseException as exc:  # surfaced after join
@@ -249,9 +245,16 @@ def run_stages(stages: Dict[str, Callable[[threading.Event], None]]) -> float:
     try:
         for t in threads:
             t.start()  # a new thread inherits its creator's CPU mask
+    except BaseException:
+        start.set()  # the threads already started return unrun
+        for t in threads:
+            if t.is_alive():
+                t.join()
+        raise
     finally:
         if allowed is not None:
             os.sched_setaffinity(0, allowed)
+    released = True
     t0 = time.perf_counter()
     start.set()
     for t in threads:
@@ -275,36 +278,27 @@ def run_pipeline(config: PipelineConfig) -> Tuple[Dict[int, int], RunMetrics]:
     config.validate()
     blocks = partition_aggregators(config.producers, config.aggregators)
 
-    feed_producers: List[List[ProducerEndpoint]] = []
-    agg_inputs: List[Optional[ConsumerEndpoint]] = [None] * config.aggregators
-    for block in blocks:
-        outs = []
-        for agg_id in block:
-            p, c = new_queue(config.queue_kind, config.queue_config)
-            outs.append(p)
-            agg_inputs[agg_id] = c
-        feed_producers.append(outs)
+    aggs = range(config.aggregators)
+    # (producer, consumer) pairs, indexed by aggregator id
+    feeds = [new_queue(config.queue_kind, config.queue_config) for _ in aggs]
+    outputs = [new_queue(config.queue_kind, config.queue_config) for _ in aggs]
 
-    final_inputs: List[ConsumerEndpoint] = []
-    agg_outputs: List[ProducerEndpoint] = []
-    for _ in range(config.aggregators):
-        p, c = new_queue(config.queue_kind, config.queue_config)
-        agg_outputs.append(p)
-        final_inputs.append(c)
-
-    fa = FinalAggregator(config.spec, sources=range(config.aggregators))
+    fa = FinalAggregator(config.spec, sources=aggs)
     results: Dict[int, int] = {}
     partial_counts: Dict[int, int] = {}
     stages = {
-        f"producer-{i}": partial(_run_producer, config.workloads[i], feed_producers[i])
-        for i in range(config.producers)
-    }
-    for j in range(config.aggregators):
-        stages[f"aggregator-{j}"] = partial(
-            _run_aggregator, j, config.spec, agg_inputs[j], agg_outputs[j],
-            partial_counts,
+        f"producer-{i}": partial(
+            _run_producer, config.workloads[i], [feeds[j][0] for j in block]
         )
-    stages["final-aggregator"] = partial(_run_final, fa, final_inputs, results)
+        for i, block in enumerate(blocks)
+    }
+    for j in aggs:
+        stages[f"aggregator-{j}"] = partial(
+            _run_aggregator, j, config.spec, feeds[j][1], outputs[j][0], partial_counts
+        )
+    stages["final-aggregator"] = partial(
+        _run_final, fa, [c for _p, c in outputs], results
+    )
     elapsed = run_stages(stages)
 
     metrics = RunMetrics(

@@ -58,6 +58,17 @@ def test_unknown_source_rejected():
         fa.accept(WindowPartial(0, 1, 7))
 
 
+def test_unknown_source_cannot_be_marked_inactive():
+    fa = FinalAggregator(SPEC, sources=[0])
+    with pytest.raises(InactiveSource):
+        fa.mark_inactive(7)
+    # Source 0 is still active: it reports, then ends.
+    assert not fa.all_inactive()
+    assert fa.accept(WindowPartial(0, 3, 0)) == [(0, 3)]
+    assert fa.mark_inactive(0) == []
+    assert fa.all_inactive()
+
+
 def test_last_straggler_releases_everything_ascending():
     fa = FinalAggregator(SPEC, sources=[0, 1, 2])
     fa.accept(WindowPartial(0, 1, 0))

@@ -6,7 +6,7 @@ from streamq import (
     BoundsExceeded, InvalidConfig, QueueConfig, QueueKind, explore_interleavings, new_queue,
 )
 from streamq.interleave import _Shared, _slots, _System, explore
-from streamq.queues import MCRingProducer, _Cell
+from streamq.queues import LamportProducer, MCRingProducer, _Cell
 
 
 ALL_KINDS = list(QueueKind)
@@ -139,3 +139,40 @@ def test_finish_without_flush_mutation_caught():
     assert trace is not None
     assert "conservation" in trace.reason
     assert any("producer_finish" in s for s in trace.steps)
+
+
+class _NeverPublishes(LamportProducer):
+    """Seeded bug: the slot is written but the shared tail never stored."""
+
+    __slots__ = ()
+
+    def try_enqueue(self, item):
+        tail = self._tail
+        nxt = (tail + 1) % self._capacity
+        if nxt == self._head_box.value:
+            return False
+        self._ring[tail] = item
+        self._tail = nxt
+        return True
+
+
+class _AlwaysFull(LamportProducer):
+    """Seeded bug: the ring always reads full."""
+
+    __slots__ = ()
+
+    def try_enqueue(self, item):
+        return False
+
+
+@pytest.mark.parametrize("enqueues", [2, 3])
+@pytest.mark.parametrize("producer_class,reason", [
+    (_NeverPublishes, "invariant violated: occupancy"),
+    (_AlwaysFull, "progress violated"),
+], ids=["never_publishes", "always_full"])
+def test_stall_is_a_counterexample_not_a_bad_script(producer_class, reason, enqueues):
+    # The consumer never sees an element, and at capacity 2 the producer
+    # stalls after at most one: no fair run gets the script in.
+    trace = explore(QueueKind.LAMPORT, QueueConfig(2), enqueues, producer_class=producer_class)
+    assert trace is not None
+    assert trace.reason.startswith(reason), trace.reason

@@ -90,6 +90,31 @@ def test_caller_mask_is_restored(monkeypatch):
     assert os.sched_getaffinity(0) == before
 
 
+def test_failed_start_leaves_no_stage_running(monkeypatch):
+    # The second stage thread cannot start. The first one is a daemon,
+    # so that a leak fails this test without keeping the suite alive.
+    original = threading.Thread.start
+    names = ("started", "unstartable")
+    ran = []
+
+    def start(self):
+        if self.name == "unstartable":
+            raise RuntimeError("can't start new thread")
+        if self.name == "started":
+            self.daemon = True
+        original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    stages = {name: lambda _abort, name=name: ran.append(name) for name in names}
+    outcome = raised_within(10.0, run_stages, stages)
+    assert [type(exc) for exc in outcome] == [RuntimeError], outcome
+    assert ran == []
+    leaked = [t for t in threading.enumerate() if t.name in names]
+    for t in leaked:
+        t.join(timeout=0.5)
+    assert not any(t.is_alive() for t in leaked), leaked
+
+
 def test_stages_run_unconfined_without_affinity_calls(monkeypatch):
     monkeypatch.delattr(os, "sched_setaffinity", raising=False)
     test_stages_run_in_named_threads_and_are_timed()
