@@ -31,7 +31,7 @@ from typing import Any, List, Optional, Sequence, Tuple, get_args, get_type_hint
 
 from .aggregation import WindowSpec
 from .oracle import OpLog, check_fifo, oracle_aggregate
-from .pipeline import PipelineConfig, run_pipeline, run_stages
+from .pipeline import PipelineConfig, run_pipeline, run_stages, validate_topology
 from .queues import EMPTY, InvalidConfig, QueueConfig, QueueKind, new_queue
 
 log = logging.getLogger(__name__)
@@ -112,8 +112,8 @@ class BenchConfig:
                 raise InvalidConfig(
                     f"element size {size} below the {BASE_ELEMENT_BYTES}-byte element"
                 )
-        if self.mode == "pipeline" and self.producers > self.aggregators:
-            raise InvalidConfig("more producers than aggregators")
+        if self.mode == "pipeline":
+            validate_topology(self.producers, self.aggregators)
         if self.prefill is not None and self.prefill < 0:
             raise InvalidConfig(f"prefill must be >= 0, got {self.prefill}")
         for kind in self.kinds:

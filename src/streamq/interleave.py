@@ -20,8 +20,9 @@ consumer calls ``try_dequeue()`` and, after each miss, ``finished()``,
 until that returns True. Each schedule is checked for FIFO (the consumer
 sees ``1, 2, ...`` and nothing else), conservation (it has all ``n``
 when ``finished()`` holds), progress (every reachable state can still
-complete both scripts), exceptions from the queue code (BatchQueue's
-``debug`` half-ownership assertion is on) and, between operations,
+complete both scripts), exceptions from the queue code, BatchQueue
+half ownership (no producer store to the ring lands in the half the
+consumer owns while ``is_full`` is set) and, between operations,
 Lamport occupancy and MCRingBuffer publication lag read from the slots:
 each endpoint's lag stays below the batch size, and the producer's also
 below the heartbeat period of the ``QueueConfig`` given to ``explore``.
@@ -32,7 +33,7 @@ from __future__ import annotations
 import linecache
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple, Type
 
 from .queues import (
@@ -147,6 +148,11 @@ class _System:
                       if type(getattr(e, n)) is list}
         self.log, self.pos, self.new = (), 0, None
         self.lag_bounds = None  # MCRingBuffer's (producer, consumer); explore sets it
+        # BatchQueue: the consumer's _deq_index in its saved slots, and
+        # during a producer step the half it owns while is_full is set.
+        bq = kind is QueueKind.BATCHQUEUE
+        self.deq_at = self.names[_CONSUMER].index("_deq_index") if bq else None
+        self.consumer_half = None
 
     def access(self, target: _Shared, index: Optional[int], store: Any) -> Any:
         """Replay the current operation's recorded accesses; make one new one."""
@@ -166,6 +172,11 @@ class _System:
         frame = sys._getframe(2)  # the queue code that made the access
         where = target.name if index is None else f"{target.name}[{index}]"
         self.new = (store is _LOAD, where, value, frame.f_code.co_filename, frame.f_lineno)
+        half = self.consumer_half
+        if (half is not None and store is not _LOAD and index is not None  # a ring store
+                and self.shared.is_full.v and index // self.shared.half == half):
+            raise AssertionError(f"producer writing into the half owned by the consumer: "
+                                 f"{where} is in half {half} while is_full is set")
         return value
 
     def save(self, who: int) -> tuple:
@@ -188,6 +199,8 @@ class _System:
         script, slots, log = state[who]
         self.load(state[0], who, slots)
         self.log, self.pos, self.new = log, 0, None
+        self.consumer_half = (state[_CONSUMER][1][self.deq_at] // self.shared.half
+                              if who == _PRODUCER and self.deq_at is not None else None)
         _, producer, consumer = self.endpoints
         error = None
         try:
@@ -286,7 +299,6 @@ def explore(
     the finish comes back as a counterexample. It has no size bound of
     its own.
     """
-    config = replace(config, debug=True)  # the half-ownership check
     if dequeues is not None:
         producer, consumer = _build(kind, config, producer_class)
         sent = got = 0

@@ -61,6 +61,18 @@ class SourceDone(NamedTuple):
     source: int
 
 
+def validate_topology(producers: int, aggregators: int) -> None:
+    """Raise InvalidConfig unless every producer owns at least one aggregator."""
+    if producers < 1:
+        raise InvalidConfig("need at least one producer")
+    if aggregators < 1:
+        raise InvalidConfig("need at least one aggregator")
+    if producers > aggregators:
+        raise InvalidConfig(
+            f"{producers} producers cannot partition {aggregators} aggregators"
+        )
+
+
 @dataclass
 class PipelineConfig:
     producers: int
@@ -71,15 +83,7 @@ class PipelineConfig:
     workloads: List[List[Tuple[int, int]]]  # one sorted tuple list per producer
 
     def validate(self) -> None:
-        if self.producers < 1:
-            raise InvalidConfig("need at least one producer")
-        if self.aggregators < 1:
-            raise InvalidConfig("need at least one aggregator")
-        if self.producers > self.aggregators:
-            raise InvalidConfig(
-                f"{self.producers} producers cannot partition "
-                f"{self.aggregators} aggregators"
-            )
+        validate_topology(self.producers, self.aggregators)
         if len(self.workloads) != self.producers:
             raise InvalidConfig(
                 f"expected {self.producers} workloads, got {len(self.workloads)}"

@@ -134,14 +134,12 @@ class QueueConfig:
     must divide the capacity and be smaller than it, so at most half of
     it. The heartbeat period is a publication threshold: the producer
     publishes its index once ``min(batch size, period)`` elements are
-    unpublished, so a stalled input never hides that many. ``debug``
-    enables extra ownership assertions on the hot paths.
+    unpublished, so a stalled input never hides that many.
     """
 
     capacity: int
     mcr_batch_size: int = 1
     mcr_heartbeat_period: Optional[int] = None
-    debug: bool = False
 
     def validate(self, kind: QueueKind) -> None:
         if self.capacity < 2:
@@ -310,25 +308,36 @@ class ConsumerEndpoint:
         )
 
 
-# ---------------------------------------------------------------------------
-# Lamport: shared head and tail, republished on every operation.
+class _SharedRing:
+    """The state both endpoints of every kind share: the ring, its
+    capacity and the finish flag. FastForward needs no more; each other
+    kind's shared class extends it with its own control variables."""
 
-
-class _LamportShared:
-    __slots__ = ("ring", "capacity", "head", "tail", "producer_done")
+    __slots__ = ("ring", "capacity", "producer_done")
 
     def __init__(self, config: QueueConfig):
         self.ring = [None] * config.capacity
         self.capacity = config.capacity
+        self.producer_done = _Cell(False)
+
+
+# ---------------------------------------------------------------------------
+# Lamport: shared head and tail, republished on every operation.
+
+
+class _LamportShared(_SharedRing):
+    __slots__ = ("head", "tail")
+
+    def __init__(self, config: QueueConfig):
+        super().__init__(config)
         self.head = _Cell(0)
         self.tail = _Cell(0)
-        self.producer_done = _Cell(False)
 
 
 class LamportProducer(ProducerEndpoint):
     __slots__ = ("_tail", "_tail_box", "_head_box")
 
-    def __init__(self, shared: _LamportShared, config: QueueConfig):
+    def __init__(self, shared: _LamportShared):
         super().__init__(shared)
         self._tail = 0  # private mirror of the shared tail
         self._tail_box = shared.tail
@@ -387,19 +396,10 @@ class LamportConsumer(ConsumerEndpoint):
 # (including None) is legal.
 
 
-class _FastForwardShared:
-    __slots__ = ("ring", "capacity", "producer_done")
-
-    def __init__(self, config: QueueConfig):
-        self.ring = [None] * config.capacity
-        self.capacity = config.capacity
-        self.producer_done = _Cell(False)
-
-
 class FastForwardProducer(ProducerEndpoint):
     __slots__ = ("_tail",)
 
-    def __init__(self, shared: _FastForwardShared, config: QueueConfig):
+    def __init__(self, shared: _SharedRing):
         super().__init__(shared)
         self._tail = 0  # never read by the consumer
 
@@ -419,7 +419,7 @@ class FastForwardProducer(ProducerEndpoint):
 class FastForwardConsumer(ConsumerEndpoint):
     __slots__ = ("_head",)
 
-    def __init__(self, shared: _FastForwardShared):
+    def __init__(self, shared: _SharedRing):
         super().__init__(shared)
         self._head = 0  # never read by the producer
 
@@ -457,36 +457,26 @@ class FastForwardConsumer(ConsumerEndpoint):
 # was published after the consumer last loaded is_full is taken first.
 
 
-class _BatchQueueShared:
-    __slots__ = (
-        "ring", "half", "capacity", "is_full", "enq_index",
-        "leftover_flag", "producer_done",
-    )
+class _BatchQueueShared(_SharedRing):
+    __slots__ = ("half", "is_full", "enq_index", "leftover_flag")
 
     def __init__(self, config: QueueConfig):
-        self.ring = [None] * config.capacity
+        super().__init__(config)
         self.half = config.capacity // 2
-        self.capacity = config.capacity
         self.is_full = _Cell(False)
         self.enq_index = _Cell(0)  # written only at finish
         self.leftover_flag = _Cell(False)
-        self.producer_done = _Cell(False)
 
 
 class BatchQueueProducer(ProducerEndpoint):
-    __slots__ = (
-        "_half", "_is_full", "_enq_index", "_pending_publish",
-        "_published_half", "_debug",
-    )
+    __slots__ = ("_half", "_is_full", "_enq_index", "_pending_publish")
 
-    def __init__(self, shared: _BatchQueueShared, config: QueueConfig):
+    def __init__(self, shared: _BatchQueueShared):
         super().__init__(shared)
         self._half = shared.half
         self._is_full = shared.is_full
         self._enq_index = 0  # private; exposed via shared box at finish
         self._pending_publish = False
-        self._published_half = -1
-        self._debug = config.debug
 
     def try_enqueue(self, item: Any) -> bool:
         self._enq_attempts += 1
@@ -495,8 +485,6 @@ class BatchQueueProducer(ProducerEndpoint):
                 return False  # consumer still owns the previous half
             self._publish()
         idx = self._enq_index
-        if self._debug and self._is_full.value and idx // self._half == self._published_half:
-            raise AssertionError("producer writing into the half owned by the consumer")
         self._ring[idx] = item
         idx += 1
         if idx == self._capacity:
@@ -511,8 +499,6 @@ class BatchQueueProducer(ProducerEndpoint):
         return True
 
     def _publish(self) -> None:
-        half = self._half
-        self._published_half = (self._enq_index // half - 1) % (self._capacity // half)
         self._pending_publish = False
         self._is_full.value = True  # hand the completed half over
         self._publications += 1
@@ -598,16 +584,15 @@ class BatchQueueConsumer(ConsumerEndpoint):
 # MCRingBuffer: batched publication of private working indices.
 
 
-class _MCRingShared:
-    __slots__ = ("ring", "capacity", "read", "write", "batch_size", "producer_done")
+class _MCRingShared(_SharedRing):
+    __slots__ = ("read", "write", "batch_size", "publish_every")
 
     def __init__(self, config: QueueConfig):
-        self.ring = [None] * config.capacity
-        self.capacity = config.capacity
+        super().__init__(config)
         self.read = _Cell(0)    # published consumer index
         self.write = _Cell(0)   # published producer index
-        self.batch_size = config.mcr_batch_size
-        self.producer_done = _Cell(False)
+        batch = self.batch_size = config.mcr_batch_size
+        self.publish_every = min(batch, config.mcr_heartbeat_period or batch)
 
 
 class MCRingProducer(ProducerEndpoint):
@@ -616,10 +601,9 @@ class MCRingProducer(ProducerEndpoint):
         "_next_write", "_w_batch",
     )
 
-    def __init__(self, shared: _MCRingShared, config: QueueConfig):
+    def __init__(self, shared: _MCRingShared):
         super().__init__(shared)
-        batch = shared.batch_size
-        self._publish_every = min(batch, config.mcr_heartbeat_period or batch)
+        self._publish_every = shared.publish_every
         self._write_box = shared.write
         self._read_box = shared.read
         self._local_read = 0
@@ -697,7 +681,7 @@ class MCRingConsumer(ConsumerEndpoint):
 
 _KINDS = {
     QueueKind.LAMPORT: (_LamportShared, LamportProducer, LamportConsumer),
-    QueueKind.FASTFORWARD: (_FastForwardShared, FastForwardProducer, FastForwardConsumer),
+    QueueKind.FASTFORWARD: (_SharedRing, FastForwardProducer, FastForwardConsumer),
     QueueKind.BATCHQUEUE: (_BatchQueueShared, BatchQueueProducer, BatchQueueConsumer),
     QueueKind.MCRINGBUFFER: (_MCRingShared, MCRingProducer, MCRingConsumer),
 }
@@ -718,4 +702,4 @@ def new_queue(
         raise InvalidConfig(f"unknown queue kind: {kind!r}")
     shared_class, producer_class, consumer_class = _KINDS[kind]
     shared = shared_class(config)
-    return producer_class(shared, config), consumer_class(shared)
+    return producer_class(shared), consumer_class(shared)

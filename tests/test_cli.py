@@ -126,6 +126,24 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not calls.exists(), calls.read_text()
 
+    @pytest.mark.parametrize("producers,aggregators", [(0, 10), (0, 0), (-1, 10), (1, 0)])
+    def test_bad_topology_exits_before_any_run_or_probe_call(
+        self, tmp_path, capsys, producers, aggregators
+    ):
+        # Every producer must own a block of at least one aggregator.
+        calls = tmp_path / "calls.log"
+        probe = tmp_path / "probe.sh"
+        probe.write_text(f'#!/bin/sh\necho "$1" >> "{calls}"\necho 1.0\n')
+        probe.chmod(probe.stat().st_mode | stat.S_IEXEC)
+        code = main([
+            "--mode", "pipeline", "--kind", "lamport", "--capacity", "16",
+            "--producers", str(producers), "--aggregators", str(aggregators),
+            "--tuples", "50", "--reps", "1", "--energy-cmd", str(probe),
+        ])
+        assert code == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not calls.exists(), calls.read_text()
+
     def test_wrong_pipeline_output_is_oracle_mismatch(self, monkeypatch, capsys):
         def broken_pipeline(config):
             return {999: 1}, RunMetrics(elapsed_s=0.001, tuples=50, partials=0)

@@ -6,7 +6,7 @@ from streamq import (
     BoundsExceeded, InvalidConfig, QueueConfig, QueueKind, explore_interleavings, new_queue,
 )
 from streamq.interleave import _Shared, _slots, _System, explore
-from streamq.queues import LamportProducer, MCRingProducer, _Cell
+from streamq.queues import BatchQueueProducer, LamportProducer, MCRingProducer, _Cell
 
 
 ALL_KINDS = list(QueueKind)
@@ -176,3 +176,41 @@ def test_stall_is_a_counterexample_not_a_bad_script(producer_class, reason, enqu
     trace = explore(QueueKind.LAMPORT, QueueConfig(2), enqueues, producer_class=producer_class)
     assert trace is not None
     assert trace.reason.startswith(reason), trace.reason
+
+
+class _PublishWithoutWaiting(BatchQueueProducer):
+    """Seeded bug: a pending hand-off is dropped instead of waited for,
+    so the producer writes on into the half the consumer still owns."""
+
+    __slots__ = ()
+
+    def try_enqueue(self, item):
+        self._pending_publish = False
+        return super().try_enqueue(item)
+
+
+@pytest.mark.parametrize("capacity,enqueues", [(2, 3), (4, 5)])
+def test_batchqueue_half_ownership_violation_caught(capacity, enqueues):
+    trace = explore(
+        QueueKind.BATCHQUEUE, QueueConfig(capacity), enqueues,
+        producer_class=_PublishWithoutWaiting,
+    )
+    assert trace is not None
+    assert "half owned by the consumer" in trace.reason, trace.reason
+    assert "store ring[" in trace.steps[-1]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_explore_checks_the_config_it_is_given(kind, monkeypatch):
+    seen = []
+
+    def recording_new_queue(kind, config):
+        seen.append(config)
+        return new_queue(kind, config)
+
+    monkeypatch.setattr("streamq.interleave.new_queue", recording_new_queue)
+    # With a dequeue script, explore builds the queue twice: once for
+    # the fair run and once for the search.
+    config = QueueConfig(capacity=4)
+    assert explore(kind, config, 2, 2) is None
+    assert len(seen) == 2 and all(c is config for c in seen)

@@ -408,20 +408,3 @@ def test_fastforward_indices_are_endpoint_private():
     shared_attrs = set(type(producer._shared).__slots__)
     assert shared_attrs == {"ring", "capacity", "producer_done"}
 
-
-def test_batchqueue_debug_ownership_checks_pass_under_use():
-    producer, consumer = new_queue(
-        QueueKind.BATCHQUEUE, QueueConfig(capacity=8, debug=True)
-    )
-    sent = 0
-    got = []
-    while sent < 20:
-        if producer.try_enqueue(sent):
-            sent += 1
-        else:
-            item = consumer.try_dequeue()
-            assert item is not EMPTY
-            got.append(item)
-    producer.producer_finish()
-    got += consumer.drain()
-    assert got == list(range(20))
