@@ -1,15 +1,15 @@
 """Exhaustive interleaving exploration of the shipped queue classes.
 
-``explore`` runs the endpoints that ``new_queue`` returns over every
-schedule of a tiny instance. Each ``_Cell`` and the ring of the shared
-object are swapped for recording stand-ins, and the endpoint slots that
-alias them are rebound, so each load or store of shared state is one
-step. A step resumes an endpoint by restoring its slots from the
-snapshot taken when its current operation began and running the
-operation again: the accesses already recorded are replayed (loads
-return the recorded value, stores are skipped), the next one is made for
-real, and the operation stops just before the access after that, or
-returns. No threads or tracing are involved, and preemption happens at
+``explore`` runs the shipped endpoint classes over every schedule of a
+tiny instance. Each ``_Cell`` and the ring of the shared object that
+``new_queue`` builds are swapped for recording stand-ins, and fresh
+endpoints are then built from that shared object, so each load or store
+of shared state is one step. A step resumes an endpoint by restoring
+its slots from the snapshot taken when its current operation began and
+running the operation again: the accesses already recorded are
+replayed (loads return the recorded value, stores are skipped), the
+next one is made for real, and the operation stops just before the
+access after that, or returns. No threads or tracing are involved, and preemption happens at
 every shared access, however many share a source line. The state is the
 shared values plus, per endpoint, its script position, its slots minus
 the operation counters (so a spin retry that changes nothing revisits a
@@ -38,7 +38,6 @@ from typing import Any, List, Optional, Tuple, Type
 
 from .queues import (
     EMPTY,
-    ConsumerEndpoint,
     LamportProducer,
     ProducerEndpoint,
     QueueConfig,
@@ -121,24 +120,24 @@ def _slots(obj: Any) -> List[str]:
 
 
 class _System:
-    """A queue's two endpoints with their shared state behind stand-ins."""
+    """A queue built by ``new_queue(kind, config)`` with its shared state
+    behind stand-ins, and endpoints built over them; ``producer_class``
+    replaces the producer's class."""
 
-    def __init__(self, kind: QueueKind, producer: ProducerEndpoint, consumer: ConsumerEndpoint):
+    def __init__(self, kind: QueueKind, config: QueueConfig,
+                 producer_class: Optional[Type[ProducerEndpoint]] = None):
+        producer, consumer = new_queue(kind, config)
         self.kind, self.shared = kind, producer._shared
-        self.endpoints = (None, producer, consumer)  # indexed by _PRODUCER, _CONSUMER
-        swapped = []
+        self.stand_ins = []
         for name in _slots(self.shared):
             raw = getattr(self.shared, name)
             if isinstance(raw, (_Cell, list)):
                 stand_in = _Shared(self, name, raw)
                 setattr(self.shared, name, stand_in)
-                swapped.append((raw, stand_in))
-        for endpoint in (producer, consumer):
-            for name in _slots(endpoint):
-                for raw, stand_in in swapped:
-                    if getattr(endpoint, name) is raw:
-                        setattr(endpoint, name, stand_in)
-        self.stand_ins = [s for _, s in swapped]
+                self.stand_ins.append(stand_in)
+        producer = (producer_class or type(producer))(self.shared)
+        consumer = type(consumer)(self.shared)
+        self.endpoints = (None, producer, consumer)  # indexed by _PRODUCER, _CONSUMER
         self.names = [None] + [
             tuple(n for n in _slots(e) if n not in _COUNTERS
                   and not isinstance(getattr(e, n), (_Shared, type(self.shared))))
@@ -147,7 +146,10 @@ class _System:
         self.lists = {n for e in (producer, consumer) for n in _slots(e)
                       if type(getattr(e, n)) is list}
         self.log, self.pos, self.new = (), 0, None
-        self.lag_bounds = None  # MCRingBuffer's (producer, consumer); explore sets it
+        # MCRingBuffer's (producer, consumer) lag bounds; the heartbeat
+        # period caps the producer's unpublished elements too.
+        batch = config.mcr_batch_size
+        self.lag_bounds = (min(batch, config.mcr_heartbeat_period or batch), batch)
         # BatchQueue: the consumer's _deq_index in its saved slots, and
         # during a producer step the half it owns while is_full is set.
         bq = kind is QueueKind.BATCHQUEUE
@@ -273,52 +275,27 @@ def _describe(label: tuple, n: int) -> str:
     return text if result is _Preempt else f"{text}, returns {result!r}"
 
 
-def _build(kind: QueueKind, config: QueueConfig, producer_class: Optional[Type]):
-    producer, consumer = new_queue(kind, config)
-    if producer_class is not None:
-        producer.__class__ = producer_class
-    return producer, consumer
-
-
 def explore(
     kind: QueueKind,
     config: QueueConfig,
     enqueues: int,
-    dequeues: Optional[int] = None,
     *,
     producer_class: Optional[Type[ProducerEndpoint]] = None,
 ) -> Optional[CounterexampleTrace]:
     """Search every schedule of the queue ``new_queue(kind, config)``
     builds; None means all clean, else the first failing schedule.
 
-    ``producer_class`` replaces the producer's class (a subclass with the
-    same slots), which is how a seeded bug is checked. If ``dequeues`` is
-    given, a fair run without ``producer_finish`` (each endpoint in turn
-    until it stalls) must get that many out, else ValueError; the search
-    itself always drains to ``finished()``, and a run that stalls before
-    the finish comes back as a counterexample. It has no size bound of
-    its own.
+    ``producer_class`` replaces the producer's class, which is how a
+    seeded bug is checked: a subclass of the kind's producer, built from
+    the shared object alone. It may add slots and an ``__init__``, but
+    every slot it adds is part of the search state, so each must take
+    finitely many values (a call counter would make the search endless).
+    The consumer always drains to ``finished()``, and a run that stalls
+    before the finish comes back as a counterexample. It has no size
+    bound of its own.
     """
-    if dequeues is not None:
-        producer, consumer = _build(kind, config, producer_class)
-        sent = got = 0
-        while True:
-            before = sent + got
-            while sent < enqueues and producer.try_enqueue(sent + 1):
-                sent += 1
-            while consumer.try_dequeue() is not EMPTY:
-                got += 1
-            if sent + got == before:
-                break
-        if dequeues > got:
-            raise ValueError(f"dequeue script of {dequeues} exceeds the {got} "
-                             f"consumable at this configuration")
-
     n = enqueues
-    system = _System(kind, *_build(kind, config, producer_class))
-    # The heartbeat period caps the producer's unpublished elements too.
-    batch = config.mcr_batch_size
-    system.lag_bounds = (min(batch, config.mcr_heartbeat_period or batch), batch)
+    system = _System(kind, config, producer_class)
     init = system.initial()
     parents = {init: None}
     preds: dict = {}
@@ -382,29 +359,24 @@ def explore_interleavings(
     kind: QueueKind,
     capacity: int,
     enqueues: int,
-    dequeues: Optional[int] = None,
     *,
     mcr_batch: int = 1,
     mutation: Optional[str] = None,
 ) -> Optional[CounterexampleTrace]:
     """Explore every schedule of a tiny instance; None means all clean.
 
-    ``dequeues`` is the count a fair run delivers before
-    ``producer_finish`` (``enqueues`` except where batching holds back a
-    partial hand-off); a larger one is rejected with ValueError. The
-    consumer drains to ``finished()`` either way. The only ``mutation``
-    is ``"publish_before_write"``, on Lamport.
+    The producer enqueues ``1..enqueues`` and finishes; the consumer
+    drains to ``finished()``. The only ``mutation`` is
+    ``"publish_before_write"``, on Lamport.
     """
     if capacity < 2 or capacity > MAX_CAPACITY:
         raise BoundsExceeded(f"capacity must be in 2..{MAX_CAPACITY}, got {capacity}")
     if enqueues < 0 or enqueues > MAX_OPS:
         raise BoundsExceeded(f"enqueues must be in 0..{MAX_OPS}, got {enqueues}")
-    if dequeues is not None and (dequeues < 0 or dequeues > MAX_OPS):
-        raise BoundsExceeded(f"dequeues must be in 0..{MAX_OPS}, got {dequeues}")
     producer_class = None
     if mutation is not None:
         if mutation != "publish_before_write" or kind is not QueueKind.LAMPORT:
             raise ValueError(f"unsupported mutation {mutation!r} for {kind.value}")
         producer_class = _PublishBeforeWrite
     config = QueueConfig(capacity, mcr_batch_size=mcr_batch)
-    return explore(kind, config, enqueues, dequeues, producer_class=producer_class)
+    return explore(kind, config, enqueues, producer_class=producer_class)

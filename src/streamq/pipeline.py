@@ -107,12 +107,9 @@ class RunMetrics:
     tuples: int
     partials: int
     messages: int = field(init=False)
-    messages_per_ms: float = field(init=False)
 
     def __post_init__(self):
         self.messages = self.tuples + self.partials
-        ms = self.elapsed_s * 1000.0
-        self.messages_per_ms = self.messages / ms if ms > 0 else 0.0
 
 
 def partition_aggregators(producers: int, aggregators: int) -> List[range]:

@@ -25,8 +25,8 @@ def test_mcr_with_batching_clean():
 
 
 def test_lamport_reference_scripts():
-    assert explore_interleavings(QueueKind.LAMPORT, 2, 3, 3) is None
-    assert explore_interleavings(QueueKind.FASTFORWARD, 2, 2, 2) is None
+    assert explore_interleavings(QueueKind.LAMPORT, 2, 3) is None
+    assert explore_interleavings(QueueKind.FASTFORWARD, 2, 2) is None
 
 
 def test_publish_before_write_mutation_caught():
@@ -55,19 +55,12 @@ class TestBounds:
         with pytest.raises(BoundsExceeded):
             explore_interleavings(QueueKind.LAMPORT, 2, 7)
 
-    def test_dequeue_bound(self):
-        with pytest.raises(BoundsExceeded):
-            explore_interleavings(QueueKind.LAMPORT, 2, 2, 7)
-
 
 def test_unreachable_scripts_rejected():
     # Batch equal to capacity is an invalid config (InvalidConfig is a
     # ValueError): such a ring would stall before the finish flush.
     with pytest.raises(ValueError):
         explore_interleavings(QueueKind.MCRINGBUFFER, 2, 6, mcr_batch=2)
-    # More dequeues than the hand-off grain can deliver.
-    with pytest.raises(ValueError):
-        explore_interleavings(QueueKind.BATCHQUEUE, 4, 5, 5)
 
 
 @pytest.mark.parametrize("enqueues", [3, 4])
@@ -79,23 +72,34 @@ def test_mcr_batch_equal_capacity_is_invalid_config(enqueues):
 
 
 def test_batch_grain_limits_default_dequeues():
-    # 5 enqueues at half size 2 publish only two complete halves; the
-    # default dequeue script adapts and the run stays clean.
+    # 5 enqueues at half size 2 publish only two complete halves before
+    # the finish; the consumer drains the rest after it, and the run
+    # stays clean.
     assert explore_interleavings(QueueKind.BATCHQUEUE, 4, 5) is None
     assert explore_interleavings(QueueKind.MCRINGBUFFER, 4, 5, mcr_batch=2) is None
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_instrumentation_leaves_no_raw_shared_state(kind):
+def test_instrumentation_leaves_no_raw_shared_state(kind, monkeypatch):
     # The search sees only accesses made through the stand-ins, so a
     # shared field that bypasses them (one added without a _Cell, say)
     # would hide its interleavings. It must fail here instead.
-    producer, consumer = new_queue(kind, QueueConfig(capacity=4))
-    shared = producer._shared
-    raw = [getattr(shared, n) for n in _slots(shared)]
-    raw = [v for v in raw if isinstance(v, (_Cell, list))]
-    _System(kind, producer, consumer)
-    for obj in (shared, producer, consumer):
+    built = []
+
+    def recording_new_queue(kind, config):
+        built.append(new_queue(kind, config))
+        return built[-1]
+
+    monkeypatch.setattr("streamq.interleave.new_queue", recording_new_queue)
+    system = _System(kind, QueueConfig(capacity=4))
+    [pair] = built
+    shared = system.shared
+    assert shared is pair[0]._shared
+    # The swap leaves the raw cells and ring only in new_queue's endpoints.
+    raw = [v for e in pair for v in (getattr(e, n) for n in _slots(e))
+           if isinstance(v, (_Cell, list))]
+    assert raw
+    for obj in (shared,) + system.endpoints[1:]:
         assert not getattr(obj, "__dict__", None), "state outside the slots"
         for name in _slots(obj):
             value = getattr(obj, name)
@@ -178,6 +182,37 @@ def test_stall_is_a_counterexample_not_a_bad_script(producer_class, reason, enqu
     assert trace.reason.startswith(reason), trace.reason
 
 
+class _PublishesEveryOther(LamportProducer):
+    """Seeded bug with state of its own: the tail is published on every
+    other enqueue only."""
+
+    __slots__ = ("_skip",)
+
+    def __init__(self, shared):
+        super().__init__(shared)
+        self._skip = False
+
+    def try_enqueue(self, item):
+        tail = self._tail
+        nxt = (tail + 1) % self._capacity
+        if nxt == self._head_box.value:
+            return False
+        self._ring[tail] = item
+        self._tail = nxt
+        if not self._skip:
+            self._tail_box.value = nxt
+        self._skip = not self._skip
+        return True
+
+
+def test_seeded_producer_with_its_own_slots_caught():
+    # The seeded class is built from the shared state like the shipped
+    # one, so it may add slots and set them in __init__.
+    trace = explore(QueueKind.LAMPORT, QueueConfig(3), 3, producer_class=_PublishesEveryOther)
+    assert trace is not None
+    assert trace.reason.startswith("invariant violated: occupancy"), trace.reason
+
+
 class _PublishWithoutWaiting(BatchQueueProducer):
     """Seeded bug: a pending hand-off is dropped instead of waited for,
     so the producer writes on into the half the consumer still owns."""
@@ -209,8 +244,6 @@ def test_explore_checks_the_config_it_is_given(kind, monkeypatch):
         return new_queue(kind, config)
 
     monkeypatch.setattr("streamq.interleave.new_queue", recording_new_queue)
-    # With a dequeue script, explore builds the queue twice: once for
-    # the fair run and once for the search.
     config = QueueConfig(capacity=4)
-    assert explore(kind, config, 2, 2) is None
-    assert len(seen) == 2 and all(c is config for c in seen)
+    assert explore(kind, config, 2) is None
+    assert len(seen) == 1 and seen[0] is config
