@@ -186,19 +186,25 @@ class FinalAggregator:
     the earlier window is complete for that source). Each window is
     released at most once; windows nobody contributed to never appear.
 
+    Each source, whatever int names it, gets one bit when the aggregator
+    is built, and a pending window keeps its contributors as the OR of
+    their bits.
+
     One map holds the watermark of each active source, the end of the
     last window it reported; a source leaves it when it goes inactive.
     The release floor, the lowest of these watermarks, is cached with
     the number of active sources at it. It is recomputed only when the
     last of those advances or a source goes inactive, and it is infinite
-    once no source is active.
+    once no source is active. The floor never falls, so every released
+    window ends at or below it: ``reported`` is consulted only for a
+    window that does too.
     """
 
     def __init__(self, spec: WindowSpec, sources: Iterable[int]):
         self.spec = spec
-        self.partials: Dict[int, list] = {}  # start -> [total, contributor set]
-        self._sources = frozenset(sources)
-        self._watermarks: Dict[int, int] = dict.fromkeys(self._sources, 0)
+        self.partials: Dict[int, list] = {}  # start -> [total, contributor bits]
+        self._bits = {s: 1 << i for i, s in enumerate(set(sources))}
+        self._watermarks: Dict[int, int] = dict.fromkeys(self._bits, 0)
         self.reported: Set[int] = set()
         self._pending_heap: List[int] = []
         self._set_floor()
@@ -207,25 +213,27 @@ class FinalAggregator:
         start, total, source = partial
         old = self._watermarks.get(source)
         if old is None:
-            state = "inactive" if source in self._sources else "unknown"
+            state = "inactive" if source in self._bits else "unknown"
             raise InactiveSource(f"{state} source {source}")
-        if start in self.reported:
+        size = self.spec.size
+        end = start + size
+        if end <= self._floor and start in self.reported:
             raise DuplicateContribution(
                 f"window {start} was already reported"
             )
         entry = self.partials.get(start)
         if entry is None:
-            self.partials[start] = [total, {source}]
+            self.partials[start] = [total, self._bits[source]]
             heapq.heappush(self._pending_heap, start)
         else:
-            if source in entry[1]:
+            bits = entry[1]
+            merged = bits | self._bits[source]
+            if merged == bits:  # the source's bit was set already
                 raise DuplicateContribution(
                     f"source {source} already contributed to window {start}"
                 )
             entry[0] += total
-            entry[1].add(source)
-        size = self.spec.size
-        end = start + size
+            entry[1] = merged
         if end > old:
             self._watermarks[source] = end
             if old == self._floor:
@@ -238,7 +246,7 @@ class FinalAggregator:
 
     def mark_inactive(self, source: int) -> List[Tuple[int, int]]:
         if self._watermarks.pop(source, None) is None:
-            if source in self._sources:
+            if source in self._bits:
                 raise AlreadyInactive(f"source {source} already inactive")
             raise InactiveSource(f"unknown source {source}")
         self._set_floor()

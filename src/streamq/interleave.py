@@ -48,6 +48,10 @@ from .queues import (
 
 MAX_CAPACITY = 4
 MAX_OPS = 6
+#: ``explore`` raises BoundsExceeded once it has visited more states
+#: than this. The largest instance ``explore_interleavings`` accepts
+#: visits 499.
+MAX_STATES = 50_000
 
 #: Endpoint slots that only count operations (``EndpointStats``).
 _COUNTERS = frozenset(
@@ -289,10 +293,10 @@ def explore(
     seeded bug is checked: a subclass of the kind's producer, built from
     the shared object alone. It may add slots and an ``__init__``, but
     every slot it adds is part of the search state, so each must take
-    finitely many values (a call counter would make the search endless).
+    finitely many values: a call counter, say, makes the search raise
+    BoundsExceeded once it has visited more than ``MAX_STATES`` states.
     The consumer always drains to ``finished()``, and a run that stalls
-    before the finish comes back as a counterexample. It has no size
-    bound of its own.
+    before the finish comes back as a counterexample.
     """
     n = enqueues
     system = _System(kind, config, producer_class)
@@ -324,6 +328,8 @@ def explore(
                 if nxt not in parents:
                     parents[nxt] = (state, label)
                     stack.append(nxt)
+                    if len(parents) > MAX_STATES:
+                        raise BoundsExceeded(f"search visited more than {MAX_STATES} states")
 
     finals = [s for s in parents if s[_PRODUCER][0] > n and s[_CONSUMER][0][0] == _DONE]
     live, todo = set(finals), finals

@@ -9,8 +9,9 @@ aggregator still sees a sorted stream.
 Termination: a producer calls producer_finish on each of its queues
 (which runs the BatchQueue leftover hand-off where applicable); an
 aggregator drains its input, flushes its still-open windows, then sends
-an inactivity marker. The final aggregator polls its queues round-robin,
-skipping empty ones; queues are FIFO, so a marker is the last message of
+an inactivity marker. The final aggregator visits its queues in turn
+and drains each one it visits, taking every message the queue holds
+before it moves on; queues are FIFO, so a marker is the last message of
 its queue, and the final aggregator drops the queue as it marks the
 source inactive. Once every queue is dropped, every window is released.
 
@@ -169,18 +170,22 @@ def _run_final(
 ) -> None:
     live = list(inputs)
     wait = Waiter(abort=abort)
+    accept = fa.accept
     while live:
         progressed = False
-        for q in live:  # round-robin sweep; empty queues are skipped
-            item = q.try_dequeue()
-            if item is EMPTY:
-                continue
-            progressed = True
-            if isinstance(item, SourceDone):  # FIFO: the queue's last message
-                results.update(fa.mark_inactive(item.source))
-                live.remove(q)
-                break  # the sweep's list has changed
-            results.update(fa.accept(item))
+        for q in live[:]:  # each visit drains the queue; dropped ones leave `live`
+            deq = q.try_dequeue
+            item = deq()
+            while item is not EMPTY:
+                progressed = True
+                if isinstance(item, SourceDone):  # FIFO: the queue's last message
+                    results.update(fa.mark_inactive(item.source))
+                    live.remove(q)
+                    break
+                released = accept(item)
+                if released:
+                    results.update(released)
+                item = deq()
         if progressed:
             wait.misses = 0
         else:

@@ -1,6 +1,8 @@
-"""Final aggregator: contribution tracking, watermarks, inactivity."""
+"""Final aggregator: contribution tracking, watermarks, inactivity, and
+the final stage that feeds it from its queues."""
 
 import random
+import threading
 
 import pytest
 
@@ -9,9 +11,14 @@ from streamq import (
     DuplicateContribution,
     FinalAggregator,
     InactiveSource,
+    QueueConfig,
+    QueueKind,
+    WindowAggregator,
     WindowPartial,
     WindowSpec,
+    new_queue,
 )
+from streamq.pipeline import SourceDone, _run_final
 
 SPEC = WindowSpec(4, 2)
 
@@ -193,3 +200,70 @@ def test_cached_floor_matches_recomputed_floor():
             assert got == outcome(getattr(reference, name), arg), call
         assert shipped.reported == reference.reported
         assert not shipped.partials and shipped.all_inactive()
+
+
+def test_any_int_is_a_source_id():
+    # Sparse, negative and huge ids, in no particular order, each
+    # compared call by call with the reference.
+    sources = [10**9, -4, 3]
+    shipped, reference = FinalAggregator(SPEC, sources), RecomputingFinal(SPEC, sources)
+    calls = [
+        ("accept", WindowPartial(0, 1, -4), []),
+        ("accept", WindowPartial(0, 2, 3), []),
+        ("accept", WindowPartial(0, 5, 3), DuplicateContribution),  # same source again
+        ("accept", WindowPartial(2, 4, 10**9), [(0, 3)]),
+        ("accept", WindowPartial(0, 1, 10**9), DuplicateContribution),  # already released
+        ("accept", WindowPartial(2, 1, 7), InactiveSource),  # unknown source
+        ("accept", WindowPartial(2, 6, -4), []),
+        ("mark_inactive", -4, []),
+        ("accept", WindowPartial(4, 1, -4), InactiveSource),  # inactive source
+        ("accept", WindowPartial(4, 2, 3), [(2, 10)]),
+        ("mark_inactive", 10**9, [(4, 2)]),
+        ("mark_inactive", 3, []),
+    ]
+    for name, arg, want in calls:
+        got = outcome(getattr(shipped, name), arg)
+        assert got == want, (name, arg)
+        assert outcome(getattr(reference, name), arg) == want, (name, arg)
+    assert shipped.reported == reference.reported == {0, 2, 4}
+    assert not shipped.partials and shipped.all_inactive()
+
+
+class RecordingFinal(FinalAggregator):
+    """Records the source of each partial it accepts, in arrival order."""
+
+    def __init__(self, spec, sources):
+        super().__init__(spec, sources)
+        self.sources_seen = []
+
+    def accept(self, partial):
+        self.sources_seen.append(partial.source)
+        return super().accept(partial)
+
+
+def test_final_stage_drains_each_queue_it_visits():
+    # Every queue holds its partials, its end marker and its finish before
+    # the final stage starts, so the stage runs alone, in this thread.
+    sources = range(3)
+    consumers, partials = [], []
+    for source in sources:
+        agg = WindowAggregator(SPEC, source)
+        out = [p for t in range(source, 12 + source) for p in agg.update(t, t * (source + 1))]
+        out += agg.finalize()
+        producer, consumer = new_queue(QueueKind.LAMPORT, QueueConfig(capacity=64))
+        for message in out + [SourceDone(source)]:
+            assert producer.try_enqueue(message)
+        producer.producer_finish()
+        consumers.append(consumer)
+        partials.append(out)
+    fa, results = RecordingFinal(SPEC, sources), {}
+    _run_final(fa, consumers, results, threading.Event())
+    # One visit takes all that a queue holds, so the accepts come grouped
+    # by queue rather than one per queue in turn.
+    assert fa.sources_seen == [p.source for out in partials for p in out]
+    reference, expected = RecomputingFinal(SPEC, sources), {}
+    for source, out in zip(sources, partials):
+        for p in out:
+            expected.update(reference.accept(p))
+        expected.update(reference.mark_inactive(source))
+    assert results == expected

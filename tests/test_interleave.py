@@ -5,7 +5,7 @@ import pytest
 from streamq import (
     BoundsExceeded, InvalidConfig, QueueConfig, QueueKind, explore_interleavings, new_queue,
 )
-from streamq.interleave import _Shared, _slots, _System, explore
+from streamq.interleave import MAX_STATES, _Shared, _slots, _System, explore
 from streamq.queues import BatchQueueProducer, LamportProducer, MCRingProducer, _Cell
 
 
@@ -247,3 +247,23 @@ def test_explore_checks_the_config_it_is_given(kind, monkeypatch):
     config = QueueConfig(capacity=4)
     assert explore(kind, config, 2) is None
     assert len(seen) == 1 and seen[0] is config
+
+
+class _CountsCalls(LamportProducer):
+    """Seeded producer whose own slot takes unboundedly many values: it
+    counts its enqueue attempts, so a spin retry never revisits a state."""
+
+    __slots__ = ("_calls",)
+
+    def __init__(self, shared):
+        super().__init__(shared)
+        self._calls = 0
+
+    def try_enqueue(self, item):
+        self._calls += 1
+        return super().try_enqueue(item)
+
+
+def test_endless_search_raises_bounds_exceeded():
+    with pytest.raises(BoundsExceeded, match=f"more than {MAX_STATES} states"):
+        explore(QueueKind.LAMPORT, QueueConfig(2), 2, producer_class=_CountsCalls)
