@@ -19,11 +19,12 @@ independent slow check the pipeline is compared against.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd, inf
-from typing import Deque, Dict, Iterable, List, NamedTuple, Set, Tuple
+from typing import Deque, Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
 
 
 class OutOfOrderTuple(ValueError):
@@ -185,6 +186,8 @@ class FinalAggregator:
     (sources emit in ascending start order, so a later report implies
     the earlier window is complete for that source). Each window is
     released at most once; windows nobody contributed to never appear.
+    A partial whose start is no window start of the spec (negative, or
+    not a multiple of the advance) raises ValueError.
 
     Each source, whatever int names it, gets one bit when the aggregator
     is built, and a pending window keeps its contributors as the OR of
@@ -196,18 +199,43 @@ class FinalAggregator:
     the number of active sources at it. It is recomputed only when the
     last of those advances or a source goes inactive, and it is infinite
     once no source is active. The floor never falls, so every released
-    window ends at or below it: ``reported`` is consulted only for a
-    window that does too.
+    window ends at or below it: the released starts are looked up only
+    for a window that does too.
+
+    The released starts are kept as ascending runs, each standing for
+    ``first, first + advance, ..., last``, so memory grows with the gaps
+    among released windows, not with the stream. The last run is kept
+    open, as its first start and the start just past it: a release
+    there extends it with one compare and one add, and that is the only
+    case partials from ascending sources reach. A stray partial below
+    the floor can open a window that no source had reported, which is
+    then released at once, below starts already released; it goes in by
+    bisection and merges with the runs next to it. ``reported`` rebuilds
+    the set of released starts from the runs.
     """
 
     def __init__(self, spec: WindowSpec, sources: Iterable[int]):
         self.spec = spec
+        self._size, self._advance = spec.size, spec.advance
         self.partials: Dict[int, list] = {}  # start -> [total, contributor bits]
         self._bits = {s: 1 << i for i, s in enumerate(set(sources))}
         self._watermarks: Dict[int, int] = dict.fromkeys(self._bits, 0)
-        self.reported: Set[int] = set()
+        # Released starts: closed runs, then the open run from _first up
+        # to before _after, empty until the first release.
+        self._firsts: List[int] = []
+        self._lasts: List[int] = []
+        self._first = self._after = 0
         self._pending_heap: List[int] = []
         self._set_floor()
+
+    @property
+    def reported(self) -> FrozenSet[int]:
+        """The start of every window released so far."""
+        advance = self._advance
+        runs = [*zip(self._firsts, self._lasts), (self._first, self._after - advance)]
+        return frozenset(
+            start for first, last in runs for start in range(first, last + 1, advance)
+        )
 
     def accept(self, partial: WindowPartial) -> List[Tuple[int, int]]:
         start, total, source = partial
@@ -215,16 +243,20 @@ class FinalAggregator:
         if old is None:
             state = "inactive" if source in self._bits else "unknown"
             raise InactiveSource(f"{state} source {source}")
-        size = self.spec.size
+        size = self._size
         end = start + size
-        if end <= self._floor and start in self.reported:
+        if end <= self._floor and self._released(start):
             raise DuplicateContribution(
                 f"window {start} was already reported"
             )
         entry = self.partials.get(start)
         if entry is None:
+            if start < 0 or start % self._advance:
+                raise ValueError(
+                    f"start {start} is not a window start of {self.spec}"
+                )
             self.partials[start] = [total, self._bits[source]]
-            heapq.heappush(self._pending_heap, start)
+            heappush(self._pending_heap, start)
         else:
             bits = entry[1]
             merged = bits | self._bits[source]
@@ -260,14 +292,48 @@ class FinalAggregator:
         self._floor = min(live, default=inf)
         self._at_floor = live.count(self._floor)
 
+    def _released(self, start: int) -> bool:
+        if start % self._advance:
+            return False
+        if start >= self._first:
+            return start < self._after
+        i = bisect_right(self._firsts, start) - 1
+        return i >= 0 and start <= self._lasts[i]
+
     def _release_ready(self) -> List[Tuple[int, int]]:
         # A window is ready when its end is at or below the floor.
-        heap = self._pending_heap
-        floor = self._floor - self.spec.size
+        heap, partials = self._pending_heap, self.partials
+        floor = self._floor - self._size
+        after, advance = self._after, self._advance
         released = []
         while heap and heap[0] <= floor:
-            start = heapq.heappop(heap)
-            total, _contributors = self.partials.pop(start)
-            self.reported.add(start)
-            released.append((start, total))
+            start = heappop(heap)
+            if start == after:  # extends the open run
+                after += advance
+            else:
+                self._after = after
+                self._insert_run(start)
+                after = self._after
+            released.append((start, partials.pop(start)[0]))
+        self._after = after
         return released
+
+    def _insert_run(self, start: int) -> None:
+        """Adds a released start that does not extend the open run, as a
+        run of its own merged with the runs it touches; the last run is
+        then the open one."""
+        firsts, lasts, advance = self._firsts, self._lasts, self._advance
+        if self._first < self._after:  # the open run takes part too
+            firsts.append(self._first)
+            lasts.append(self._after - advance)
+        i = bisect_left(firsts, start)
+        firsts.insert(i, start)
+        lasts.insert(i, start)
+        if i + 1 < len(firsts) and firsts[i + 1] - advance == start:
+            lasts[i] = lasts.pop(i + 1)
+            del firsts[i + 1]
+        if i and lasts[i - 1] + advance == start:
+            lasts[i - 1] = lasts.pop(i)
+            del firsts[i]
+        self._first = firsts.pop()
+        self._after = lasts.pop() + advance

@@ -267,3 +267,62 @@ def test_final_stage_drains_each_queue_it_visits():
             expected.update(reference.accept(p))
         expected.update(reference.mark_inactive(source))
     assert results == expected
+
+
+def test_start_that_is_no_window_start_rejected():
+    fa = FinalAggregator(SPEC, sources=[0, 1])
+    for start in (3, -2, -1):  # unaligned, negative, both
+        with pytest.raises(ValueError, match=rf"start {start} .*WindowSpec") as exc:
+            fa.accept(WindowPartial(start, 1, 0))
+        assert exc.type is ValueError
+    assert not fa.partials
+    assert fa.accept(WindowPartial(2, 5, 0)) == []
+    assert fa.accept(WindowPartial(2, 1, 1)) == [(2, 6)]
+    # Below the floor an unaligned start is no released window either.
+    with pytest.raises(ValueError, match="start 1 ") as exc:
+        fa.accept(WindowPartial(1, 1, 1))
+    assert exc.type is ValueError
+    assert fa.reported == {2}
+
+
+def test_stray_partials_merge_released_runs():
+    # Sparse windows leave gaps among the released starts, so they are
+    # kept as several runs; stray partials below the floor then fill
+    # gaps out of order. Each call is compared with the reference, and
+    # the last column is the number of runs after it.
+    shipped, reference = FinalAggregator(SPEC, [0, 1]), RecomputingFinal(SPEC, [0, 1])
+    calls = [
+        ("accept", WindowPartial(4, 1, 0), [], 0),
+        ("accept", WindowPartial(4, 2, 1), [(4, 3)], 1),
+        ("accept", WindowPartial(6, 1, 0), [], 1),
+        ("accept", WindowPartial(6, 1, 1), [(6, 2)], 1),
+        ("accept", WindowPartial(10, 1, 0), [], 1),
+        ("accept", WindowPartial(10, 1, 1), [(10, 2)], 2),  # 8 is missing
+        ("accept", WindowPartial(12, 1, 0), [], 2),
+        ("accept", WindowPartial(12, 1, 1), [(12, 2)], 2),
+        ("accept", WindowPartial(8, 5, 0), [(8, 5)], 1),  # fills the one gap
+        ("accept", WindowPartial(6, 1, 1), DuplicateContribution, 1),  # left of it
+        ("accept", WindowPartial(10, 1, 0), DuplicateContribution, 1),  # right of it
+        ("accept", WindowPartial(8, 1, 1), DuplicateContribution, 1),
+        ("accept", WindowPartial(2, 7, 1), [(2, 7)], 1),  # just before the first run
+        ("accept", WindowPartial(2, 1, 0), DuplicateContribution, 1),
+        ("accept", WindowPartial(24, 1, 0), [], 1),
+        ("accept", WindowPartial(24, 1, 1), [(24, 2)], 2),  # 14 to 22 are missing
+        ("accept", WindowPartial(18, 1, 0), [(18, 1)], 3),  # touches no run
+        ("accept", WindowPartial(14, 1, 1), [(14, 1)], 3),
+        ("accept", WindowPartial(16, 1, 0), [(16, 1)], 2),
+        ("accept", WindowPartial(22, 1, 1), [(22, 1)], 2),
+        ("accept", WindowPartial(20, 1, 0), [(20, 1)], 1),
+        ("accept", WindowPartial(22, 1, 0), DuplicateContribution, 1),
+        ("accept", WindowPartial(18, 1, 1), DuplicateContribution, 1),
+        ("mark_inactive", 0, [], 1),
+        ("mark_inactive", 1, [], 1),
+    ]
+    for name, arg, want, runs in calls:
+        assert outcome(getattr(shipped, name), arg) == want, (name, arg)
+        assert outcome(getattr(reference, name), arg) == want, (name, arg)
+        assert shipped.reported == reference.reported, (name, arg)
+        open_run = shipped._first < shipped._after
+        assert len(shipped._firsts) + open_run == runs, (name, arg)
+    assert shipped.reported == set(range(2, 25, 2))
+    assert (shipped._firsts, shipped._first, shipped._after) == ([], 2, 26)

@@ -1,6 +1,7 @@
 """End-to-end pipeline runs checked against the sequential oracle."""
 
 import threading
+import tracemalloc
 
 import pytest
 
@@ -91,6 +92,28 @@ def test_window_never_reported_twice():
     # run_pipeline builds the map from exactly-once releases; a repeat
     # would have tripped the final aggregator's reported-set guard.
     assert totals == oracle_aggregate(merged(workloads), SPEC)
+
+
+def test_memory_does_not_grow_with_stream_length():
+    def held_mib(tuples):
+        """The run's tracemalloc peak less what it leaves behind, the
+        result map: memory the stages held while they ran."""
+        workloads = split_workload(tuples, 1, seed=4)
+        cfg = config(1, 10, QueueKind.LAMPORT, workloads, capacity=128)
+        tracemalloc.start()
+        try:
+            totals, _ = run_pipeline(cfg)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert totals == oracle_aggregate(merged(workloads), SPEC)
+        return (peak - retained) / 2**20
+
+    # The lower of two runs, as the schedule moves the peak a little.
+    short = min(held_mib(5_000) for _ in range(2))
+    long = min(held_mib(20_000) for _ in range(2))
+    # Four times the stream: an entry per released window would add 0.4 MiB.
+    assert long - short < 0.1, (short, long)
 
 
 # The methods a span tracer wraps by patching ``owner.__dict__[name]``,
