@@ -6,14 +6,14 @@ Usage:
         --seed 7 --rounds 30
 
 ``PARENT`` and ``CHANGE`` are checkouts, each with ``src/streamq`` and
-``perfbench/``. The script starts one ``perfbench/worker.py`` per tree,
-with that tree's ``src`` on its path, and drives both through the
-worker's stdin protocol, so nothing under ``perfbench/`` changes. After
-one warm-up pass per worker, each round sends, for every queue kind,
-one ``{"op": "memory"}`` request to each tree and then one
-``{"op": "pass"}`` request to each; the tree that goes first alternates
-from round to round. Passes of the two trees thus run seconds apart, and
-slow drift of the host falls on both sides alike.
+``perfbench/``. Each tree's worker is started by the ``Worker`` class of
+that tree's own ``perfbench/run.py``, which runs the tree's
+``perfbench/worker.py`` on the tree's ``src``, so nothing under
+``perfbench/`` changes. After one warm-up pass per worker, each round
+sends, for every queue kind, one ``{"op": "memory"}`` request to each
+tree and then one ``{"op": "pass"}`` request to each; the tree that goes
+first alternates from round to round. Passes of the two trees thus run
+seconds apart, and slow drift of the host falls on both sides alike.
 
 For each metric and kind it prints both sides' medians, the median of
 the per-round ratio change/parent with its quartiles, and the rounds in
@@ -25,13 +25,13 @@ code 1.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
-import select
 import statistics
-import subprocess
 import sys
-import time
+from math import inf
+from types import SimpleNamespace
 
 KINDS = ("lamport", "fastforward", "batchqueue", "mcringbuffer")
 #: metric -> (request op, value of one reply, better)
@@ -43,53 +43,31 @@ METRICS = {
 REPLY_TIMEOUT_S = 120.0
 
 
-class Worker:
-    """One tree's ``perfbench/worker.py``, talked to one request at a time."""
+class Side:
+    """One tree's worker, started by that tree's ``perfbench/run.py``."""
 
-    def __init__(self, tree: str, workload: str, seed: int, scale: float):
-        tree = os.path.abspath(tree)
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-                   PYTHONPATH=os.path.join(tree, "src"))
-        self.proc = subprocess.Popen(
-            [sys.executable, os.path.join(tree, "perfbench", "worker.py"),
-             "--workload", workload, "--seed", str(seed), "--scale", str(scale)],
-            cwd=tree, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        self.tree = tree
-        self._buf = b""
+    def __init__(self, index: int, tree: str, workload: str, seed: int):
+        self.tree = os.path.abspath(tree)
+        path = os.path.join(self.tree, "perfbench", "run.py")
+        spec = importlib.util.spec_from_file_location(f"perfbench_run_{index}", path)
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        self.lost = run.WorkerLost
+        # The options run.py's own command line would give, at their defaults.
+        args = SimpleNamespace(workload=workload, seed=seed, scale=1.0, fault=None)
         try:
-            self._read()  # the worker's "ready" line
-        except RuntimeError:
-            self.close()
-            raise
-
-    def _read(self) -> dict:
-        end = time.monotonic() + REPLY_TIMEOUT_S
-        fd = self.proc.stdout.fileno()
-        while b"\n" not in self._buf:
-            left = end - time.monotonic()
-            if left <= 0 or not select.select([fd], [], [], left)[0]:
-                raise RuntimeError(f"{self.tree}: no reply within {REPLY_TIMEOUT_S:.0f} s")
-            chunk = os.read(fd, 1 << 16)
-            if not chunk:
-                raise RuntimeError(f"{self.tree}: worker exited")
-            self._buf += chunk
-        line, self._buf = self._buf.split(b"\n", 1)
-        return json.loads(line)
+            self.worker = run.Worker(args, deadline=inf)
+        except self.lost as exc:
+            raise RuntimeError(f"{self.tree}: worker did not start: {exc}") from None
 
     def call(self, op: str, kind: str) -> dict:
-        self.proc.stdin.write((json.dumps({"op": op, "kind": kind}) + "\n").encode())
-        self.proc.stdin.flush()
-        reply = self._read()
+        try:
+            reply = self.worker.call({"op": op, "kind": kind}, REPLY_TIMEOUT_S)
+        except self.lost as exc:
+            raise RuntimeError(f"{self.tree}: {op} {kind}: {exc}") from None
         if not reply["ok"]:
             raise RuntimeError(f"{self.tree}: {op} {kind}: {reply['error']}")
         return reply["result"]
-
-    def close(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
-        self.proc.wait()
-        self.proc.stdin.close()
-        self.proc.stdout.close()
 
 
 def summarize(samples: dict) -> dict:
@@ -118,37 +96,36 @@ def main() -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--rounds", type=int, default=30)
-    ap.add_argument("--scale", type=float, default=1.0)
     args = ap.parse_args()
     if args.rounds < 2:
         ap.error("--rounds must be at least 2")
     for tree in (args.parent, args.change):
-        for need in (("perfbench", "worker.py"), ("src", "streamq", "__init__.py")):
+        for need in (("perfbench", "run.py"), ("src", "streamq", "__init__.py")):
             if not os.path.isfile(os.path.join(tree, *need)):
                 ap.error(f"{tree} has no {os.path.join(*need)}")
 
-    workers = []
+    sides = []
     try:
-        for tree in (args.parent, args.change):
-            workers.append(Worker(tree, args.workload, args.seed, args.scale))
-        for w in workers:
-            w.call("pass", KINDS[0])  # warm-up, not kept
+        for i, tree in enumerate((args.parent, args.change)):
+            sides.append(Side(i, tree, args.workload, args.seed))
+        for side in sides:
+            side.call("pass", KINDS[0])  # warm-up, not kept
         samples = {(m, k): [] for m in METRICS for k in KINDS}
         for r in range(args.rounds):
-            order = workers if r % 2 == 0 else workers[::-1]
+            order = sides if r % 2 == 0 else sides[::-1]
             for kind in KINDS:
                 for op in ("memory", "pass"):
-                    replies = {id(w): w.call(op, kind) for w in order}
+                    replies = {id(s): s.call(op, kind) for s in order}
                     for metric, (m_op, value, _better) in METRICS.items():
                         if m_op == op:
                             samples[metric, kind].append(
-                                tuple(value(replies[id(w)]) for w in workers))
+                                tuple(value(replies[id(s)]) for s in sides))
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        for w in workers:
-            w.close()
+        for side in sides:
+            side.worker.close()
 
     summary = summarize(samples)
     print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds; ratio is change/parent")

@@ -203,15 +203,17 @@ class FinalAggregator:
     for a window that does too.
 
     The released starts are kept as ascending runs, each standing for
-    ``first, first + advance, ..., last``, so memory grows with the gaps
-    among released windows, not with the stream. The last run is kept
-    open, as its first start and the start just past it: a release
-    there extends it with one compare and one add, and that is the only
-    case partials from ascending sources reach. A stray partial below
-    the floor can open a window that no source had reported, which is
-    then released at once, below starts already released; it goes in by
-    bisection and merges with the runs next to it. ``reported`` rebuilds
-    the set of released starts from the runs.
+    ``first, first + advance, ...`` up to the start just past it, so
+    memory grows with the gaps among released windows, not with the
+    stream. A release right after the last run extends it in place; on
+    a dense stream, where every window holds a tuple, that is all the
+    pipeline does, and one run is kept. Any other release goes in by
+    bisection and merges with the runs next to it. That happens when the
+    stream has a gap wider than the window (``WindowAggregator`` skips
+    empty windows), which leaves one more run per gap, and for a stray
+    partial below the floor that opens a window no source had reported:
+    it is released at once, below starts already released. ``reported``
+    rebuilds the set of released starts from the runs.
     """
 
     def __init__(self, spec: WindowSpec, sources: Iterable[int]):
@@ -220,11 +222,10 @@ class FinalAggregator:
         self.partials: Dict[int, list] = {}  # start -> [total, contributor bits]
         self._bits = {s: 1 << i for i, s in enumerate(set(sources))}
         self._watermarks: Dict[int, int] = dict.fromkeys(self._bits, 0)
-        # Released starts: closed runs, then the open run from _first up
-        # to before _after, empty until the first release.
+        # Released runs, ascending: their first starts and the starts
+        # just past them.
         self._firsts: List[int] = []
-        self._lasts: List[int] = []
-        self._first = self._after = 0
+        self._afters: List[int] = []
         self._pending_heap: List[int] = []
         self._set_floor()
 
@@ -232,9 +233,10 @@ class FinalAggregator:
     def reported(self) -> FrozenSet[int]:
         """The start of every window released so far."""
         advance = self._advance
-        runs = [*zip(self._firsts, self._lasts), (self._first, self._after - advance)]
         return frozenset(
-            start for first, last in runs for start in range(first, last + 1, advance)
+            start
+            for first, after in zip(self._firsts, self._afters)
+            for start in range(first, after, advance)
         )
 
     def accept(self, partial: WindowPartial) -> List[Tuple[int, int]]:
@@ -295,45 +297,37 @@ class FinalAggregator:
     def _released(self, start: int) -> bool:
         if start % self._advance:
             return False
-        if start >= self._first:
-            return start < self._after
         i = bisect_right(self._firsts, start) - 1
-        return i >= 0 and start <= self._lasts[i]
+        return i >= 0 and start < self._afters[i]
 
     def _release_ready(self) -> List[Tuple[int, int]]:
         # A window is ready when its end is at or below the floor.
-        heap, partials = self._pending_heap, self.partials
+        heap, partials, afters = self._pending_heap, self.partials, self._afters
         floor = self._floor - self._size
-        after, advance = self._after, self._advance
+        advance = self._advance
+        after = afters[-1] if afters else -1  # -1 is no start
         released = []
         while heap and heap[0] <= floor:
             start = heappop(heap)
-            if start == after:  # extends the open run
-                after += advance
+            if start == after:  # extends the last run
+                after = afters[-1] = start + advance
             else:
-                self._after = after
                 self._insert_run(start)
-                after = self._after
+                after = afters[-1]
             released.append((start, partials.pop(start)[0]))
-        self._after = after
         return released
 
     def _insert_run(self, start: int) -> None:
-        """Adds a released start that does not extend the open run, as a
-        run of its own merged with the runs it touches; the last run is
-        then the open one."""
-        firsts, lasts, advance = self._firsts, self._lasts, self._advance
-        if self._first < self._after:  # the open run takes part too
-            firsts.append(self._first)
-            lasts.append(self._after - advance)
+        """Adds a released start that does not extend the last run, as a
+        run of its own merged with the runs it touches."""
+        firsts, afters = self._firsts, self._afters
+        after = start + self._advance
         i = bisect_left(firsts, start)
         firsts.insert(i, start)
-        lasts.insert(i, start)
-        if i + 1 < len(firsts) and firsts[i + 1] - advance == start:
-            lasts[i] = lasts.pop(i + 1)
+        afters.insert(i, after)
+        if i + 1 < len(firsts) and firsts[i + 1] == after:
+            afters[i] = afters.pop(i + 1)
             del firsts[i + 1]
-        if i and lasts[i - 1] + advance == start:
-            lasts[i - 1] = lasts.pop(i)
+        if i and afters[i - 1] == start:
+            afters[i - 1] = afters.pop(i)
             del firsts[i]
-        self._first = firsts.pop()
-        self._after = lasts.pop() + advance

@@ -322,7 +322,6 @@ def test_stray_partials_merge_released_runs():
         assert outcome(getattr(shipped, name), arg) == want, (name, arg)
         assert outcome(getattr(reference, name), arg) == want, (name, arg)
         assert shipped.reported == reference.reported, (name, arg)
-        open_run = shipped._first < shipped._after
-        assert len(shipped._firsts) + open_run == runs, (name, arg)
+        assert len(shipped._firsts) == len(shipped._afters) == runs, (name, arg)
     assert shipped.reported == set(range(2, 25, 2))
-    assert (shipped._firsts, shipped._first, shipped._after) == ([], 2, 26)
+    assert (shipped._firsts, shipped._afters) == ([2], [26])
