@@ -122,12 +122,12 @@ class WindowAggregator:
         self._sum = 0
 
     def update(self, timestamp: int, value: int) -> List[WindowPartial]:
+        if timestamp < 0:
+            raise ValueError(f"timestamp must be non-negative, got {timestamp}")
         if timestamp < self.watermark:
             raise OutOfOrderTuple(
                 f"timestamp {timestamp} below watermark {self.watermark}"
             )
-        if timestamp < 0:
-            raise ValueError(f"timestamp must be non-negative, got {timestamp}")
         self.watermark = timestamp
         pane = timestamp // self._pane_width
         panes = self._panes

@@ -25,6 +25,7 @@ import re
 import shlex
 import subprocess
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Any, List, Optional, Sequence, Tuple, get_args, get_type_hints
@@ -390,7 +391,9 @@ def _with_energy(config: BenchConfig, fn, *args):
 
     Without a probe command joules is None. A probe failure raises
     ProbeFailure under strict_energy; otherwise it is logged, the run's
-    result is kept and joules is None.
+    result is kept and joules is None. If the run raises, the probe is
+    still stopped, its reading and any ProbeFailure are dropped, and the
+    run's error propagates.
     """
     if not config.energy_cmd:
         return fn(*args), None
@@ -400,7 +403,12 @@ def _with_energy(config: BenchConfig, fn, *args):
     except ProbeFailure as exc:
         _probe_failed(config, exc)
         return fn(*args), None
-    result = fn(*args)
+    try:
+        result = fn(*args)
+    except BaseException:
+        with suppress(ProbeFailure):
+            probe.stop()
+        raise
     try:
         return result, probe.stop()
     except ProbeFailure as exc:

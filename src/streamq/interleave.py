@@ -50,7 +50,7 @@ MAX_CAPACITY = 4
 MAX_OPS = 6
 #: ``explore`` raises BoundsExceeded once it has visited more states
 #: than this. The largest instance ``explore_interleavings`` accepts
-#: visits 499.
+#: visits 493.
 MAX_STATES = 50_000
 
 #: Endpoint slots that only count operations (``EndpointStats``).

@@ -450,22 +450,25 @@ class FastForwardConsumer(ConsumerEndpoint):
 # here: when a half is complete but is_full is still set, the producer
 # records the pending hand-off and reports Full until it resolves.
 #
-# Termination: leftovers (a partially filled half, or a completed half
-# whose publication never resolved) are exposed through leftover_flag
-# plus the producer's index; the consumer only reads that range after
-# observing producer_done, so no write can race the drain. A half that
-# was published after the consumer last loaded is_full is taken first.
+# Termination: producer_finish stores its private index in enq_index,
+# then sets producer_done. No half is published after producer_done, so
+# a consumer that saw producer_done and then finds is_full clear has
+# taken every published half; what is left, a pending half or a partial
+# one, is the range from its own index up to enq_index. Loading is_full
+# first would let a half be published and the stream finish between the
+# two loads, and that half would be read as leftovers while still
+# flagged. Once the range is taken the two indices are equal, so reading
+# it again takes nothing.
 
 
 class _BatchQueueShared(_SharedRing):
-    __slots__ = ("half", "is_full", "enq_index", "leftover_flag")
+    __slots__ = ("half", "is_full", "enq_index")
 
     def __init__(self, config: QueueConfig):
         super().__init__(config)
         self.half = config.capacity // 2
         self.is_full = _Cell(False)
         self.enq_index = _Cell(0)  # written only at finish
-        self.leftover_flag = _Cell(False)
 
 
 class BatchQueueProducer(ProducerEndpoint):
@@ -504,22 +507,14 @@ class BatchQueueProducer(ProducerEndpoint):
         self._publications += 1
 
     def producer_finish(self) -> None:
-        shared = self._shared
-        if self._pending_publish and not self._is_full.value:
-            self._publish()
-        shared.enq_index.value = self._enq_index
-        leftovers = self._pending_publish or self._enq_index % self._half != 0
-        if leftovers:
-            shared.leftover_flag.value = True
-            self._publications += 1  # exposes committed elements
+        self._shared.enq_index.value = self._enq_index
+        if self._pending_publish or self._enq_index % self._half != 0:
+            self._publications += 1  # exposes the elements left over
         super().producer_finish()
 
 
 class BatchQueueConsumer(ConsumerEndpoint):
-    __slots__ = (
-        "_half", "_is_full", "_deq_index", "_copy_buf", "_copy_pos",
-        "_leftovers_taken",
-    )
+    __slots__ = ("_half", "_is_full", "_deq_index", "_copy_buf", "_copy_pos")
 
     def __init__(self, shared: _BatchQueueShared):
         super().__init__(shared)
@@ -528,7 +523,6 @@ class BatchQueueConsumer(ConsumerEndpoint):
         self._deq_index = 0
         self._copy_buf: list = []
         self._copy_pos = 0
-        self._leftovers_taken = False
 
     def try_dequeue(self) -> Any:
         self._deq_attempts += 1
@@ -538,26 +532,19 @@ class BatchQueueConsumer(ConsumerEndpoint):
             self._copy_pos = pos + 1
             self._deq_successes += 1
             return item
-        if self._is_full.value:
-            return self._take_half()
         shared = self._shared
-        if shared.producer_done.value and shared.leftover_flag.value and not self._leftovers_taken:
-            # The producer may have published a half and finished since
-            # is_full was loaded above; that half precedes the leftovers.
-            if self._is_full.value:
-                return self._take_half()
+        done = shared.producer_done.value  # before is_full: see Termination
+        if self._is_full.value:
+            self._refill(self._half)
+            self._is_full.value = False  # return the half to the producer
+            self._publications += 1
+            return self._take_first()
+        if done:
             count = (shared.enq_index.value - self._deq_index) % self._capacity
-            self._leftovers_taken = True
             if count:
                 self._refill(count)
                 return self._take_first()
         return EMPTY
-
-    def _take_half(self) -> Any:
-        self._refill(self._half)
-        self._is_full.value = False  # return the half to the producer
-        self._publications += 1
-        return self._take_first()
 
     def _refill(self, count: int) -> None:
         # Halves are aligned, so [deq, deq+count) never wraps the ring.
@@ -573,11 +560,8 @@ class BatchQueueConsumer(ConsumerEndpoint):
 
     def finished(self) -> bool:
         shared = self._shared
-        if not shared.producer_done.value:
-            return False
-        if self._copy_pos < len(self._copy_buf) or self._is_full.value:
-            return False
-        return not shared.leftover_flag.value or self._leftovers_taken
+        return (shared.producer_done.value and self._copy_pos == len(self._copy_buf)
+                and not self._is_full.value and shared.enq_index.value == self._deq_index)
 
 
 # ---------------------------------------------------------------------------
@@ -668,12 +652,7 @@ class MCRingConsumer(ConsumerEndpoint):
         return item
 
     def finished(self) -> bool:
-        if not self._shared.producer_done.value:
-            return False
-        if self._next_read != self._local_write:
-            return False
-        self._local_write = self._write_box.value
-        return self._next_read == self._local_write
+        return self._shared.producer_done.value and self._next_read == self._write_box.value
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,23 @@ class TestEnergyProbe:
         with pytest.raises(ProbeFailure):
             run_micro(cfg)
 
+    def test_probe_stopped_when_the_run_raises(self, tmp_path, monkeypatch):
+        # The run's error propagates, and the probe is not left running.
+        probe_log = tmp_path / "probe.log"
+        probe = _write_probe(tmp_path, f'echo "$1" >> {probe_log}; echo 1.5')
+
+        def failing_run(pconfig):
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(streamq.bench, "run_pipeline", failing_run)
+        cfg = BenchConfig(
+            mode="pipeline", kinds=[QueueKind.LAMPORT], capacities=[64],
+            tuples=200, reps=1, energy_cmd=probe,
+        )
+        with pytest.raises(RuntimeError, match="run failed"):
+            run_pipeline_bench(cfg)
+        assert probe_log.read_text().split() == ["start", "stop"]
+
     def test_unparsable_output_is_failure(self, tmp_path):
         probe = _write_probe(tmp_path, "echo watts-unknown")
         with pytest.raises(ProbeFailure):

@@ -6,7 +6,9 @@ from streamq import (
     BoundsExceeded, InvalidConfig, QueueConfig, QueueKind, explore_interleavings, new_queue,
 )
 from streamq.interleave import MAX_STATES, _Shared, _slots, _System, explore
-from streamq.queues import BatchQueueProducer, LamportProducer, MCRingProducer, _Cell
+from streamq.queues import (
+    BatchQueueProducer, LamportProducer, MCRingProducer, ProducerEndpoint, _Cell,
+)
 
 
 ALL_KINDS = list(QueueKind)
@@ -233,6 +235,28 @@ def test_batchqueue_half_ownership_violation_caught(capacity, enqueues):
     assert trace is not None
     assert "half owned by the consumer" in trace.reason, trace.reason
     assert "store ring[" in trace.steps[-1]
+
+
+class _FinishWithoutIndex(BatchQueueProducer):
+    """Seeded bug: producer_finish never stores the final index, so the
+    consumer cannot see the elements left over past the last half."""
+
+    __slots__ = ()
+
+    def producer_finish(self):
+        ProducerEndpoint.producer_finish(self)
+
+
+@pytest.mark.parametrize("enqueues,reason", [
+    (1, "conservation violated"), (3, "FIFO violated"), (5, "conservation violated"),
+])
+def test_batchqueue_finish_without_index_caught(enqueues, reason):
+    # The final index is the one store the end of the stream relies on.
+    trace = explore(
+        QueueKind.BATCHQUEUE, QueueConfig(4), enqueues, producer_class=_FinishWithoutIndex,
+    )
+    assert trace is not None
+    assert trace.reason.startswith(reason), trace.reason
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

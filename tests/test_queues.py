@@ -123,7 +123,7 @@ def test_batchqueue_exact_halves_signal_no_leftovers():
     for i in range(4):
         assert producer.try_enqueue(i)
     producer.producer_finish()
-    assert not producer._shared.leftover_flag.value
+    assert producer.stats().publication_events == 1
     assert consumer.drain() == [0, 1, 2, 3]
 
 
@@ -136,6 +136,26 @@ def test_batchqueue_pending_half_recovered_at_finish():
     assert not producer.try_enqueue(99)
     producer.producer_finish()
     assert consumer.drain() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("capacity, total, dequeues, drained, pubs", [
+    # a pending half whose predecessor the consumer took before the finish
+    (4, 4, 1, [1, 2, 3], (2, 1)),
+    (8, 4, 0, [0, 1, 2, 3], (1, 1)),  # an exact half
+    (8, 6, 0, [0, 1, 2, 3, 4, 5], (2, 1)),  # an unaligned finish
+])
+def test_batchqueue_finish_publications(capacity, total, dequeues, drained, pubs):
+    # The finish only stores the producer's index, a publication when
+    # elements are left over; the consumer takes them, a pending half
+    # included, without handing a half back.
+    producer, consumer = make(QueueKind.BATCHQUEUE, capacity)
+    for i in range(total):
+        assert producer.try_enqueue(i)
+    for _ in range(dequeues):
+        consumer.try_dequeue()
+    producer.producer_finish()
+    assert consumer.drain() == drained
+    assert (producer.stats().publication_events, consumer.stats().publication_events) == pubs
 
 
 def test_mcr_finish_flushes_partial_batch():
@@ -202,6 +222,20 @@ def test_finished_false_before_finish(kind):
     producer, consumer = make(kind, 8)
     producer.try_enqueue(1)
     assert not consumer.finished()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_finished_false_while_elements_remain(kind):
+    # finished() may be called at any time, not only after a miss: here
+    # BatchQueue's last three elements wait in its staging list alone.
+    producer, consumer = make(kind, 8)
+    for i in range(4):
+        assert producer.try_enqueue(i)
+    producer.producer_finish()
+    assert consumer.try_dequeue() == 0
+    assert not consumer.finished()
+    assert consumer.drain() == [1, 2, 3]
+    assert consumer.finished()
 
 
 class TestStats:

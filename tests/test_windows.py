@@ -217,3 +217,9 @@ class TestPanesMatchPerWindowSums:
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError):
             WindowAggregator(WindowSpec(4, 2)).update(-1, 1)
+
+    def test_negative_timestamp_named_before_the_watermark(self):
+        # -5 is also below the fresh aggregator's watermark of -1, which
+        # the caller never set: the error names the timestamp's own fault.
+        with pytest.raises(ValueError, match="non-negative"):
+            WindowAggregator(WindowSpec(4, 2)).update(-5, 1)
