@@ -7,10 +7,10 @@ multiple of the advance. A stage-2 ``WindowAggregator`` consumes one
 sorted stream, sums it into panes of width ``gcd(size, advance)`` and
 emits each window that holds a tuple once its end has passed the
 watermark, from one running sum over the window's panes. A
-``FinalAggregator`` merges the per-source partial sums, tracking which
-sources contributed to each window and the watermark of each source
-still active, and releases every window exactly once as soon as no
-active source can still report it.
+``FinalAggregator`` merges the per-source partial sums, which each
+source reports in ascending start order, tracking the watermark of each
+source still active, and releases every window exactly once as soon as
+no active source can still report it.
 
 ``window_starts`` lists the windows of one timestamp directly. The
 aggregators do not use it; it is the route of ``oracle_aggregate``, the
@@ -19,7 +19,6 @@ independent slow check the pipeline is compared against.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -181,47 +180,40 @@ class WindowAggregator:
 class FinalAggregator:
     """Merges per-source window partials into final totals.
 
+    Each source reports its windows in strictly ascending start order, as
+    ``WindowAggregator`` emits them. A source's watermark is the end of
+    the last window it reported, and a partial whose end is not past it
+    raises DuplicateContribution: that one rule catches both a second
+    report of a window and a report out of order. A partial whose start
+    is no window start of the spec (negative, or not a multiple of the
+    advance) raises ValueError, before any other error.
+
     A window is released once every source has either gone inactive or
-    reported a window whose end is at or beyond this window's end
-    (sources emit in ascending start order, so a later report implies
-    the earlier window is complete for that source). Each window is
-    released at most once; windows nobody contributed to never appear.
-    A partial whose start is no window start of the spec (negative, or
-    not a multiple of the advance) raises ValueError.
+    reported past this window's end. Each window is released at most
+    once; windows nobody contributed to never appear. One map holds the
+    watermark of each active source; a source leaves it when it goes
+    inactive. The release floor, the lowest of these watermarks, is
+    cached with the number of active sources at it. It is recomputed
+    only when the last of those advances or a source goes inactive, and
+    it is infinite once no source is active.
 
-    Each source, whatever int names it, gets one bit when the aggregator
-    is built, and a pending window keeps its contributors as the OR of
-    their bits.
-
-    One map holds the watermark of each active source, the end of the
-    last window it reported; a source leaves it when it goes inactive.
-    The release floor, the lowest of these watermarks, is cached with
-    the number of active sources at it. It is recomputed only when the
-    last of those advances or a source goes inactive, and it is infinite
-    once no source is active. The floor never falls, so every released
-    window ends at or below it: the released starts are looked up only
-    for a window that does too.
-
-    The released starts are kept as ascending runs, each standing for
-    ``first, first + advance, ...`` up to the start just past it, so
-    memory grows with the gaps among released windows, not with the
-    stream. A release right after the last run extends it in place; on
-    a dense stream, where every window holds a tuple, that is all the
-    pipeline does, and one run is kept. Any other release goes in by
-    bisection and merges with the runs next to it. That happens when the
-    stream has a gap wider than the window (``WindowAggregator`` skips
-    empty windows), which leaves one more run per gap, and for a stray
-    partial below the floor that opens a window no source had reported:
-    it is released at once, below starts already released. ``reported``
-    rebuilds the set of released starts from the runs.
+    A pending window keeps only its running total. The floor never
+    falls, and a new window ends past its source's watermark and so past
+    the floor: every window is released after the ones before it. The
+    released starts are therefore kept as ascending runs, each standing
+    for ``first, first + advance, ...`` up to the start just past it, and
+    a release either extends the last run or appends one. On a dense
+    stream that is one run; a stream with a gap wider than the window
+    (``WindowAggregator`` skips empty windows) adds one run per gap.
+    ``reported`` rebuilds the set of released starts from the runs.
     """
 
     def __init__(self, spec: WindowSpec, sources: Iterable[int]):
         self.spec = spec
         self._size, self._advance = spec.size, spec.advance
-        self.partials: Dict[int, list] = {}  # start -> [total, contributor bits]
-        self._bits = {s: 1 << i for i, s in enumerate(set(sources))}
-        self._watermarks: Dict[int, int] = dict.fromkeys(self._bits, 0)
+        self.partials: Dict[int, int] = {}  # start -> total
+        self._sources = frozenset(sources)
+        self._watermarks: Dict[int, int] = dict.fromkeys(self._sources, 0)
         # Released runs, ascending: their first starts and the starts
         # just past them.
         self._firsts: List[int] = []
@@ -243,44 +235,36 @@ class FinalAggregator:
         start, total, source = partial
         old = self._watermarks.get(source)
         if old is None:
-            state = "inactive" if source in self._bits else "unknown"
+            state = "inactive" if source in self._sources else "unknown"
             raise InactiveSource(f"{state} source {source}")
         size = self._size
         end = start + size
-        if end <= self._floor and self._released(start):
+        partials = self.partials
+        entry = partials.get(start)
+        if entry is None and (start < 0 or start % self._advance):
+            raise ValueError(f"start {start} is not a window start of {self.spec}")
+        if end <= old:
             raise DuplicateContribution(
-                f"window {start} was already reported"
+                f"window {start} of source {source} ends at {end}, "
+                f"not past its watermark {old}"
             )
-        entry = self.partials.get(start)
         if entry is None:
-            if start < 0 or start % self._advance:
-                raise ValueError(
-                    f"start {start} is not a window start of {self.spec}"
-                )
-            self.partials[start] = [total, self._bits[source]]
+            partials[start] = total
             heappush(self._pending_heap, start)
         else:
-            bits = entry[1]
-            merged = bits | self._bits[source]
-            if merged == bits:  # the source's bit was set already
-                raise DuplicateContribution(
-                    f"source {source} already contributed to window {start}"
-                )
-            entry[0] += total
-            entry[1] = merged
-        if end > old:
-            self._watermarks[source] = end
-            if old == self._floor:
-                self._at_floor -= 1
-                if not self._at_floor:
-                    self._set_floor()
+            partials[start] = entry + total
+        self._watermarks[source] = end
+        if old == self._floor:
+            self._at_floor -= 1
+            if not self._at_floor:
+                self._set_floor()
         if self._pending_heap[0] + size > self._floor:
             return []
         return self._release_ready()
 
     def mark_inactive(self, source: int) -> List[Tuple[int, int]]:
         if self._watermarks.pop(source, None) is None:
-            if source in self._bits:
+            if source in self._sources:
                 raise AlreadyInactive(f"source {source} already inactive")
             raise InactiveSource(f"unknown source {source}")
         self._set_floor()
@@ -294,12 +278,6 @@ class FinalAggregator:
         self._floor = min(live, default=inf)
         self._at_floor = live.count(self._floor)
 
-    def _released(self, start: int) -> bool:
-        if start % self._advance:
-            return False
-        i = bisect_right(self._firsts, start) - 1
-        return i >= 0 and start < self._afters[i]
-
     def _release_ready(self) -> List[Tuple[int, int]]:
         # A window is ready when its end is at or below the floor.
         heap, partials, afters = self._pending_heap, self.partials, self._afters
@@ -310,24 +288,9 @@ class FinalAggregator:
         while heap and heap[0] <= floor:
             start = heappop(heap)
             if start == after:  # extends the last run
-                after = afters[-1] = start + advance
-            else:
-                self._insert_run(start)
-                after = afters[-1]
-            released.append((start, partials.pop(start)[0]))
+                afters[-1] = after = start + advance
+            else:  # past a gap: a run of its own
+                self._firsts.append(start)
+                afters.append(after := start + advance)
+            released.append((start, partials.pop(start)))
         return released
-
-    def _insert_run(self, start: int) -> None:
-        """Adds a released start that does not extend the last run, as a
-        run of its own merged with the runs it touches."""
-        firsts, afters = self._firsts, self._afters
-        after = start + self._advance
-        i = bisect_left(firsts, start)
-        firsts.insert(i, start)
-        afters.insert(i, after)
-        if i + 1 < len(firsts) and firsts[i + 1] == after:
-            afters[i] = afters.pop(i + 1)
-            del firsts[i + 1]
-        if i and afters[i - 1] == start:
-            afters[i - 1] = afters.pop(i)
-            del firsts[i]

@@ -16,10 +16,10 @@ the operation counters (so a spin retry that changes nothing revisits a
 state) and the values its current operation has recorded.
 
 The producer enqueues ``1..n`` and calls ``producer_finish()``; the
-consumer calls ``try_dequeue()`` and, after each miss, ``finished()``,
+consumer calls ``try_dequeue()`` and, after each call, ``finished()``,
 until that returns True. Each schedule is checked for FIFO (the consumer
 sees ``1, 2, ...`` and nothing else), conservation (it has all ``n``
-when ``finished()`` holds), progress (every reachable state can still
+whenever ``finished()`` holds), progress (every reachable state can still
 complete both scripts), exceptions from the queue code, BatchQueue
 half ownership (no producer store to the ring lands in the half the
 consumer owns while ``is_full`` is set) and, between operations,
@@ -38,6 +38,7 @@ from typing import Any, List, Optional, Tuple, Type
 
 from .queues import (
     EMPTY,
+    ConsumerEndpoint,
     LamportProducer,
     ProducerEndpoint,
     QueueConfig,
@@ -50,7 +51,7 @@ MAX_CAPACITY = 4
 MAX_OPS = 6
 #: ``explore`` raises BoundsExceeded once it has visited more states
 #: than this. The largest instance ``explore_interleavings`` accepts
-#: visits 493.
+#: visits 717.
 MAX_STATES = 50_000
 
 #: Endpoint slots that only count operations (``EndpointStats``).
@@ -115,8 +116,12 @@ class _Shared:
             return out
         return self.system.access(self, i, _LOAD)
 
-    def __setitem__(self, i: int, x: Any) -> None:
-        self.system.access(self, i, x)
+    def __setitem__(self, i: Any, x: Any) -> None:
+        if isinstance(i, slice):
+            for j, v in zip(range(*i.indices(len(self.v))), x, strict=True):
+                self.system.access(self, j, v)
+        else:
+            self.system.access(self, i, x)
 
 
 def _slots(obj: Any) -> List[str]:
@@ -126,10 +131,11 @@ def _slots(obj: Any) -> List[str]:
 class _System:
     """A queue built by ``new_queue(kind, config)`` with its shared state
     behind stand-ins, and endpoints built over them; ``producer_class``
-    replaces the producer's class."""
+    and ``consumer_class`` replace the endpoints' classes."""
 
     def __init__(self, kind: QueueKind, config: QueueConfig,
-                 producer_class: Optional[Type[ProducerEndpoint]] = None):
+                 producer_class: Optional[Type[ProducerEndpoint]] = None,
+                 consumer_class: Optional[Type[ConsumerEndpoint]] = None):
         producer, consumer = new_queue(kind, config)
         self.kind, self.shared = kind, producer._shared
         self.stand_ins = []
@@ -140,7 +146,7 @@ class _System:
                 setattr(self.shared, name, stand_in)
                 self.stand_ins.append(stand_in)
         producer = (producer_class or type(producer))(self.shared)
-        consumer = type(consumer)(self.shared)
+        consumer = (consumer_class or type(consumer))(self.shared)
         self.endpoints = (None, producer, consumer)  # indexed by _PRODUCER, _CONSUMER
         self.names = [None] + [
             tuple(n for n in _slots(e) if n not in _COUNTERS
@@ -261,7 +267,7 @@ def _advance(who: int, script: Any, result: Any, n: int):
     if result != received + 1:
         return script, (f"FIFO violated: dequeue #{received} returned {result!r}, "
                         f"expected {received + 1}")
-    return (_DEQUEUE, received + 1), None
+    return (_FINISHED, received + 1), None
 
 
 def _describe(label: tuple, n: int) -> str:
@@ -285,21 +291,23 @@ def explore(
     enqueues: int,
     *,
     producer_class: Optional[Type[ProducerEndpoint]] = None,
+    consumer_class: Optional[Type[ConsumerEndpoint]] = None,
 ) -> Optional[CounterexampleTrace]:
     """Search every schedule of the queue ``new_queue(kind, config)``
     builds; None means all clean, else the first failing schedule.
 
-    ``producer_class`` replaces the producer's class, which is how a
-    seeded bug is checked: a subclass of the kind's producer, built from
-    the shared object alone. It may add slots and an ``__init__``, but
-    every slot it adds is part of the search state, so each must take
-    finitely many values: a call counter, say, makes the search raise
-    BoundsExceeded once it has visited more than ``MAX_STATES`` states.
+    ``producer_class`` and ``consumer_class`` replace the endpoints'
+    classes, which is how a seeded bug is checked: a subclass of the
+    kind's endpoint, built from the shared object alone. It may add
+    slots and an ``__init__``, but every slot it adds is part of the
+    search state, so each must take finitely many values: a call
+    counter, say, makes the search raise BoundsExceeded once it has
+    visited more than ``MAX_STATES`` states.
     The consumer always drains to ``finished()``, and a run that stalls
     before the finish comes back as a counterexample.
     """
     n = enqueues
-    system = _System(kind, config, producer_class)
+    system = _System(kind, config, producer_class, consumer_class)
     init = system.initial()
     parents = {init: None}
     preds: dict = {}

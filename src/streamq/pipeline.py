@@ -7,7 +7,8 @@ producer deals its sorted tuples round-robin across its block, so every
 aggregator still sees a sorted stream.
 
 Termination: a producer calls producer_finish on each of its queues
-(which runs the BatchQueue leftover hand-off where applicable); an
+(which publishes what a batching kind still holds, or the final
+index from which BatchQueue's consumer takes the elements left over); an
 aggregator drains its input, flushes its still-open windows, then sends
 an inactivity marker. The final aggregator visits its queues in turn
 and drains each one it visits, taking every message the queue holds

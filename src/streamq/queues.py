@@ -32,6 +32,10 @@ location before touching the payload. CPython's interpreter lock makes
 attribute and list-slot stores sequentially consistent, which satisfies
 the release/acquire contract the algorithms need; the store/load
 placement in this module mirrors what a weak-memory port would fence.
+Every consumer stores None over what it has taken, before it hands the
+slots back: CPython frees an element only when nothing refers to it, so
+a slot left as it was would keep a dead message alive until the
+producer overwrote it.
 """
 
 from __future__ import annotations
@@ -373,7 +377,9 @@ class LamportConsumer(ConsumerEndpoint):
         head = self._head
         if head == self._tail_box.value:
             return EMPTY
-        item = self._ring[head]
+        ring = self._ring
+        item = ring[head]
+        ring[head] = None  # before the slot is handed back
         nxt = head + 1
         if nxt == self._capacity:
             nxt = 0
@@ -444,11 +450,13 @@ class FastForwardConsumer(ConsumerEndpoint):
 # BatchQueue: two halves of N slots exchanged through one ownership flag.
 #
 # The producer fills one half while the consumer copies the other into a
-# private staging buffer. Completing a half publishes it by setting
-# is_full; the consumer clears the flag after copying. The blocking
-# publish of the reference algorithm becomes a deferred publication
-# here: when a half is complete but is_full is still set, the producer
-# records the pending hand-off and reports Full until it resolves.
+# private staging list, kept last element first so that each dequeue is
+# a pop(). Completing a half publishes it by setting is_full; the
+# consumer stores None over the half it copied, then clears the flag.
+# The blocking publish of the reference algorithm becomes a deferred
+# publication here: when a half is complete but is_full is still set,
+# the producer records the pending hand-off and reports Full until it
+# resolves.
 #
 # Termination: producer_finish stores its private index in enq_index,
 # then sets producer_done. No half is published after producer_done, so
@@ -514,53 +522,46 @@ class BatchQueueProducer(ProducerEndpoint):
 
 
 class BatchQueueConsumer(ConsumerEndpoint):
-    __slots__ = ("_half", "_is_full", "_deq_index", "_copy_buf", "_copy_pos")
+    __slots__ = ("_half", "_is_full", "_deq_index", "_copy_buf")
 
     def __init__(self, shared: _BatchQueueShared):
         super().__init__(shared)
         self._half = shared.half
         self._is_full = shared.is_full
         self._deq_index = 0
-        self._copy_buf: list = []
-        self._copy_pos = 0
+        self._copy_buf: list = []  # the staging list, last element first
 
     def try_dequeue(self) -> Any:
         self._deq_attempts += 1
-        pos = self._copy_pos
-        if pos < len(self._copy_buf):
-            item = self._copy_buf[pos]
-            self._copy_pos = pos + 1
-            self._deq_successes += 1
-            return item
-        shared = self._shared
-        done = shared.producer_done.value  # before is_full: see Termination
-        if self._is_full.value:
-            self._refill(self._half)
-            self._is_full.value = False  # return the half to the producer
-            self._publications += 1
-            return self._take_first()
-        if done:
-            count = (shared.enq_index.value - self._deq_index) % self._capacity
-            if count:
-                self._refill(count)
-                return self._take_first()
-        return EMPTY
+        buf = self._copy_buf
+        if not buf:
+            shared = self._shared
+            done = shared.producer_done.value  # before is_full: see Termination
+            if self._is_full.value:
+                buf = self._refill(self._half)
+                self._is_full.value = False  # return the half to the producer
+                self._publications += 1
+            elif done and (count := (shared.enq_index.value - self._deq_index) % self._capacity):
+                buf = self._refill(count)
+            else:
+                return EMPTY
+        self._deq_successes += 1
+        return buf.pop()
 
-    def _refill(self, count: int) -> None:
+    def _refill(self, count: int) -> list:
         # Halves are aligned, so [deq, deq+count) never wraps the ring.
         deq = self._deq_index
-        self._copy_buf = self._ring[deq:deq + count]
-        self._copy_pos = 0
+        ring = self._ring
+        buf = ring[deq:deq + count]
+        ring[deq:deq + count] = [None] * count  # one store, before is_full is cleared
+        buf.reverse()
+        self._copy_buf = buf
         self._deq_index = (deq + count) % self._capacity
-
-    def _take_first(self) -> Any:
-        self._copy_pos = 1
-        self._deq_successes += 1
-        return self._copy_buf[0]
+        return buf
 
     def finished(self) -> bool:
         shared = self._shared
-        return (shared.producer_done.value and self._copy_pos == len(self._copy_buf)
+        return (shared.producer_done.value and not self._copy_buf
                 and not self._is_full.value and shared.enq_index.value == self._deq_index)
 
 
@@ -640,7 +641,9 @@ class MCRingConsumer(ConsumerEndpoint):
             self._local_write = self._write_box.value
             if nxt == self._local_write:
                 return EMPTY
-        item = self._ring[nxt]
+        ring = self._ring
+        item = ring[nxt]
+        ring[nxt] = None  # before the slot is handed back
         nxt += 1
         self._next_read = 0 if nxt == self._capacity else nxt
         self._r_batch += 1

@@ -132,7 +132,7 @@ class RecomputingFinal:
         start, total, source = partial
         if source not in self.active:
             raise InactiveSource(source)
-        if start in self.reported or source in self.contributors.get(start, ()):
+        if start + self.size <= self.watermarks[source]:
             raise DuplicateContribution(start)
         self.totals[start] = self.totals.get(start, 0) + total
         self.contributors.setdefault(start, set()).add(source)
@@ -285,11 +285,12 @@ def test_start_that_is_no_window_start_rejected():
     assert fa.reported == {2}
 
 
-def test_stray_partials_merge_released_runs():
-    # Sparse windows leave gaps among the released starts, so they are
-    # kept as several runs; stray partials below the floor then fill
-    # gaps out of order. Each call is compared with the reference, and
-    # the last column is the number of runs after it.
+def test_late_partials_rejected_and_gaps_append_runs():
+    # Sparse windows leave gaps among the released starts: a release past
+    # a gap appends one run. A partial that does not end past its
+    # source's watermark raises, whether the window was released, is
+    # pending or was never seen. Each call is compared with the
+    # reference, and the last column is the number of runs after it.
     shipped, reference = FinalAggregator(SPEC, [0, 1]), RecomputingFinal(SPEC, [0, 1])
     calls = [
         ("accept", WindowPartial(4, 1, 0), [], 0),
@@ -298,30 +299,30 @@ def test_stray_partials_merge_released_runs():
         ("accept", WindowPartial(6, 1, 1), [(6, 2)], 1),
         ("accept", WindowPartial(10, 1, 0), [], 1),
         ("accept", WindowPartial(10, 1, 1), [(10, 2)], 2),  # 8 is missing
+        ("accept", WindowPartial(8, 5, 0), DuplicateContribution, 2),  # never seen
+        ("accept", WindowPartial(6, 1, 1), DuplicateContribution, 2),  # released
         ("accept", WindowPartial(12, 1, 0), [], 2),
+        ("accept", WindowPartial(12, 1, 0), DuplicateContribution, 2),  # pending
         ("accept", WindowPartial(12, 1, 1), [(12, 2)], 2),
-        ("accept", WindowPartial(8, 5, 0), [(8, 5)], 1),  # fills the one gap
-        ("accept", WindowPartial(6, 1, 1), DuplicateContribution, 1),  # left of it
-        ("accept", WindowPartial(10, 1, 0), DuplicateContribution, 1),  # right of it
-        ("accept", WindowPartial(8, 1, 1), DuplicateContribution, 1),
-        ("accept", WindowPartial(2, 7, 1), [(2, 7)], 1),  # just before the first run
-        ("accept", WindowPartial(2, 1, 0), DuplicateContribution, 1),
-        ("accept", WindowPartial(24, 1, 0), [], 1),
-        ("accept", WindowPartial(24, 1, 1), [(24, 2)], 2),  # 14 to 22 are missing
-        ("accept", WindowPartial(18, 1, 0), [(18, 1)], 3),  # touches no run
-        ("accept", WindowPartial(14, 1, 1), [(14, 1)], 3),
-        ("accept", WindowPartial(16, 1, 0), [(16, 1)], 2),
-        ("accept", WindowPartial(22, 1, 1), [(22, 1)], 2),
-        ("accept", WindowPartial(20, 1, 0), [(20, 1)], 1),
-        ("accept", WindowPartial(22, 1, 0), DuplicateContribution, 1),
-        ("accept", WindowPartial(18, 1, 1), DuplicateContribution, 1),
-        ("mark_inactive", 0, [], 1),
-        ("mark_inactive", 1, [], 1),
+        ("accept", WindowPartial(18, 1, 0), [], 2),
+        ("accept", WindowPartial(24, 1, 0), [], 2),
+        ("accept", WindowPartial(24, 1, 1), [(18, 1), (24, 2)], 4),  # 14, 16, 20, 22 missing
+        ("mark_inactive", 0, [], 4),
+        ("accept", WindowPartial(26, 3, 1), [(26, 3)], 4),  # extends the last run
+        ("mark_inactive", 1, [], 4),
     ]
     for name, arg, want, runs in calls:
         assert outcome(getattr(shipped, name), arg) == want, (name, arg)
         assert outcome(getattr(reference, name), arg) == want, (name, arg)
         assert shipped.reported == reference.reported, (name, arg)
         assert len(shipped._firsts) == len(shipped._afters) == runs, (name, arg)
-    assert shipped.reported == set(range(2, 25, 2))
-    assert (shipped._firsts, shipped._afters) == ([2], [26])
+    assert shipped.reported == {4, 6, 10, 12, 18, 24, 26}
+    assert (shipped._firsts, shipped._afters) == ([4, 10, 18, 24], [8, 14, 20, 28])
+
+
+def test_never_seen_window_below_watermark_names_it():
+    fa = FinalAggregator(SPEC, sources=[0, 1])
+    assert fa.accept(WindowPartial(6, 1, 0)) == []
+    with pytest.raises(DuplicateContribution, match=r"window 2 .*watermark 10$"):
+        fa.accept(WindowPartial(2, 1, 0))
+    assert list(fa.partials) == [6] and not fa.reported

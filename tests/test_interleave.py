@@ -7,7 +7,8 @@ from streamq import (
 )
 from streamq.interleave import MAX_STATES, _Shared, _slots, _System, explore
 from streamq.queues import (
-    BatchQueueProducer, LamportProducer, MCRingProducer, ProducerEndpoint, _Cell,
+    EMPTY, BatchQueueConsumer, BatchQueueProducer, LamportConsumer, LamportProducer,
+    MCRingProducer, ProducerEndpoint, _Cell,
 )
 
 
@@ -291,3 +292,84 @@ class _CountsCalls(LamportProducer):
 def test_endless_search_raises_bounds_exceeded():
     with pytest.raises(BoundsExceeded, match=f"more than {MAX_STATES} states"):
         explore(QueueKind.LAMPORT, QueueConfig(2), 2, producer_class=_CountsCalls)
+
+
+class _FinishedIgnoresStaging(BatchQueueConsumer):
+    """Seeded bug: finished() forgets the elements still in the staging
+    list, so it can hold before the consumer has taken them."""
+
+    __slots__ = ()
+
+    def finished(self):
+        shared = self._shared
+        return (shared.producer_done.value and not self._is_full.value
+                and shared.enq_index.value == self._deq_index)
+
+
+@pytest.mark.parametrize("enqueues", [2, 4, 6])
+def test_batchqueue_finished_ignoring_staging_list_caught(enqueues):
+    # The consumer also asks finished() after each element it takes, so a
+    # half copied into the staging list is still being taken when it asks.
+    trace = explore(
+        QueueKind.BATCHQUEUE, QueueConfig(4), enqueues, consumer_class=_FinishedIgnoresStaging,
+    )
+    assert trace is not None
+    assert trace.reason.startswith("conservation violated"), trace.reason
+    assert trace.steps[-1].startswith("C: finished()")
+
+
+class _ClearsAfterHandBack(BatchQueueConsumer):
+    """Seeded bug: the copied half is cleared only after is_full has
+    handed it back, so the clear can erase what the producer wrote."""
+
+    __slots__ = ()
+
+    def _refill(self, count):  # copies without clearing
+        deq = self._deq_index
+        self._copy_buf = self._ring[deq:deq + count][::-1]
+        self._deq_index = (deq + count) % self._capacity
+        return self._copy_buf
+
+    def try_dequeue(self):
+        deq = self._deq_index
+        item = super().try_dequeue()
+        count = (self._deq_index - deq) % self._capacity  # the range it copied, if any
+        if count:
+            self._ring[deq:deq + count] = [None] * count
+        return item
+
+
+@pytest.mark.parametrize("capacity,enqueues", [(2, 3), (4, 5), (4, 6)])
+def test_batchqueue_clear_after_hand_back_caught(capacity, enqueues):
+    trace = explore(
+        QueueKind.BATCHQUEUE, QueueConfig(capacity), enqueues, consumer_class=_ClearsAfterHandBack,
+    )
+    # The consumer's operation still stores into the half after handing it
+    # back, so the producer's next write there lands in a half it owns.
+    assert trace is not None
+    assert "half owned by the consumer" in trace.reason, trace.reason
+
+
+class _ClearsTheNextSlot(LamportConsumer):
+    """Seeded bug: the consumer clears the slot after the one it took."""
+
+    __slots__ = ()
+
+    def try_dequeue(self):
+        head = self._head
+        if head == self._tail_box.value:
+            return EMPTY
+        item = self._ring[head]
+        nxt = (head + 1) % self._capacity
+        self._ring[nxt] = None  # the wrong slot
+        self._head = nxt
+        self._head_box.value = nxt
+        return item
+
+
+def test_lamport_clear_of_the_wrong_slot_caught():
+    # At capacity 2 the slot after the head is the guard slot, which the
+    # producer cannot fill before the head moves: the search needs 3.
+    trace = explore(QueueKind.LAMPORT, QueueConfig(3), 3, consumer_class=_ClearsTheNextSlot)
+    assert trace is not None
+    assert trace.reason.startswith("FIFO violated"), trace.reason

@@ -4,6 +4,7 @@ import ast
 import os
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -192,10 +193,11 @@ class _LoadThenRun:
 
 @pytest.mark.parametrize("capacity, total", [(2, 2), (4, 3), (8, 8)])
 def test_batchqueue_half_published_while_consumer_checks_leftovers(capacity, total):
-    # The consumer loads is_full (False) and is preempted; the producer
-    # publishes a half, fills the next and finishes. The consumer then
-    # sees producer_done and the leftover flag, and must still take the
-    # published half before the leftovers.
+    # The consumer loads producer_done (False), then is_full (False), and
+    # the producer runs right after that load: it publishes a half, fills
+    # the next and finishes. The consumer's next call sees producer_done
+    # and is_full set together, and must take the published half before
+    # the elements left over past it.
     producer, consumer = make(QueueKind.BATCHQUEUE, capacity)
 
     def produce_all():
@@ -235,6 +237,27 @@ def test_finished_false_while_elements_remain(kind):
     assert consumer.try_dequeue() == 0
     assert not consumer.finished()
     assert consumer.drain() == [1, 2, 3]
+    assert consumer.finished()
+
+
+class _Message:
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_no_queue_pins_a_dead_message(kind):
+    # Five messages at capacity 8: BatchQueue hands one half over and
+    # the fifth message at finish. Once the test lets go of them, nothing
+    # the two live endpoints hold may keep one alive.
+    producer, consumer = make(kind, 8)
+    messages = [_Message() for _ in range(5)]
+    refs = [weakref.ref(m) for m in messages]
+    for message in messages:
+        assert producer.try_enqueue(message)
+    producer.producer_finish()
+    assert consumer.drain() == messages
+    del messages, message
+    assert [r() for r in refs] == [None] * 5
     assert consumer.finished()
 
 
